@@ -7,8 +7,8 @@
 //!
 //! Real threads, real time, in-process loopback transport: a 2-member
 //! group floods N casts through the `NAK:COM` stack under
-//! * `event_queue` — one scheduler thread per stack (the model the paper
-//!   adopts),
+//! * `event_queue` — one worker thread per stack, dispatching one event at
+//!   a time (the model the paper adopts, unbatched),
 //! * `locked_threads` — four workers contending on a stack lock (the
 //!   model it abandons), and
 //! * `sharded` — the sharded run-to-completion executor with batched
@@ -24,18 +24,19 @@ use horus_core::prelude::*;
 use horus_layers::registry::build_stack;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
+use horus_sim::threaded::ThreadedEndpoint;
 use std::time::Duration;
 
 const FLOOD: usize = 500;
 
-fn flood(model: DispatchModel) {
+/// Floods through [`ThreadedEndpoint`]s with `workers` dispatch threads each.
+fn flood(workers: usize) {
     let net = LoopbackNet::new();
     let g = GroupAddr::new(1);
     let mut endpoints: Vec<ThreadedEndpoint> = (1..=2)
         .map(|i| {
             let s = build_stack(ep(i), "NAK:COM", StackConfig::default()).unwrap();
-            ThreadedEndpoint::spawn(s, net.clone(), model)
+            ThreadedEndpoint::spawn(s, net.clone(), workers)
         })
         .collect();
     for e in &endpoints {
@@ -77,10 +78,10 @@ fn bench_dispatch(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(20));
     g.throughput(Throughput::Elements(FLOOD as u64));
     g.bench_function(BenchmarkId::new("event_queue", FLOOD), |b| {
-        b.iter(|| flood(DispatchModel::EventQueue));
+        b.iter(|| flood(1));
     });
     g.bench_function(BenchmarkId::new("locked_threads", FLOOD), |b| {
-        b.iter(|| flood(DispatchModel::LockedThreads(4)));
+        b.iter(|| flood(4));
     });
     g.bench_function(BenchmarkId::new("sharded", FLOOD), |b| {
         b.iter(|| flood_sharded(2, 64));

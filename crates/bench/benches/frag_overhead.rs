@@ -11,15 +11,13 @@
 //! smallness relative to protocol work — is what should reproduce; the
 //! absolute number is hardware-bound.
 
-use bench::{ep, group, lone_stack, pump_one};
+use bench::{lone_stack, lone_stack_at, pump_one};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horus_core::prelude::*;
 
 fn pair(desc: &str) -> (Stack, Stack) {
     let tx = lone_stack(desc, StackConfig::default());
-    let mut rx = horus_layers::registry::build_stack(ep(2), desc, StackConfig::default()).unwrap();
-    let _ = rx.init();
-    let _ = rx.handle(StackInput::FromApp(Down::Join { group: group() }));
+    let rx = lone_stack_at(2, desc, StackConfig::default());
     (tx, rx)
 }
 

@@ -9,7 +9,7 @@
 //! Series: the §7 stack in `aligned` (1995 layout) vs `compact` (proposed
 //! layout), across payload sizes.  Wire-size numbers print to stderr.
 
-use bench::{ep, group, lone_stack, pump_one};
+use bench::{handle, lone_stack, lone_stack_at, pump_one};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horus_core::prelude::*;
 
@@ -19,9 +19,7 @@ fn stack_pair(mode: HeaderMode) -> (Stack, Stack) {
     let cfg = StackConfig { mode, ..StackConfig::default() };
     let tx = lone_stack(STACK, cfg.clone());
     // Second endpoint for the receive side.
-    let mut rx = horus_layers::registry::build_stack(ep(2), STACK, cfg).unwrap();
-    let _ = rx.init();
-    let _ = rx.handle(StackInput::FromApp(Down::Join { group: group() }));
+    let rx = lone_stack_at(2, STACK, cfg);
     (tx, rx)
 }
 
@@ -51,7 +49,7 @@ fn bench_header_modes(c: &mut Criterion) {
         for &payload in &[0usize, 64, 1024] {
             let (mut tx, _) = stack_pair(mode);
             let msg = tx.new_message(vec![0u8; payload]);
-            let fx = tx.handle(StackInput::FromApp(Down::Cast(msg)));
+            let fx = handle(&mut tx, StackInput::FromApp(Down::Cast(msg)));
             let wire = fx
                 .iter()
                 .find_map(|e| match e {

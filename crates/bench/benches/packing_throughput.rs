@@ -11,17 +11,9 @@
 //! synchronously on the last cast of each burst (no timers in the lone
 //! stack pump), making every iteration a complete, delivered burst.
 
-use bench::{ep, group};
+use bench::{ep, handle, lone_stack_at};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use horus_core::prelude::*;
-use horus_layers::registry::build_stack;
-
-fn pump_stack(i: u64, desc: &str) -> Stack {
-    let mut s = build_stack(ep(i), desc, StackConfig::default()).expect("stack builds");
-    let _ = s.init();
-    let _ = s.handle(StackInput::FromApp(Down::Join { group: group() }));
-    s
-}
 
 /// Pumps one burst of `burst` casts through tx→rx; returns
 /// (wire frames produced, casts delivered).
@@ -30,11 +22,10 @@ fn pump_burst(tx: &mut Stack, rx: &mut Stack, body: &[u8], burst: usize) -> (usi
     let mut delivered = 0;
     for _ in 0..burst {
         let msg = tx.new_message(body.to_vec());
-        for e in tx.handle(StackInput::FromApp(Down::Cast(msg))) {
+        for e in handle(tx, StackInput::FromApp(Down::Cast(msg))) {
             if let Effect::NetCast { wire } = e {
                 frames += 1;
-                delivered += rx
-                    .handle(StackInput::FromNet { from: ep(1), cast: true, wire })
+                delivered += handle(rx, StackInput::FromNet { from: ep(1), cast: true, wire })
                     .iter()
                     .filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. })))
                     .count();
@@ -60,8 +51,8 @@ fn bench_packing(c: &mut Criterion) {
             let label = if pack == 0 { "unpacked".to_string() } else { format!("pack{pack}") };
             g.throughput(Throughput::Elements(burst as u64));
             g.bench_function(BenchmarkId::new(label.clone(), format!("{size}B")), |b| {
-                let mut tx = pump_stack(1, &desc);
-                let mut rx = pump_stack(2, &desc);
+                let mut tx = lone_stack_at(1, &desc, StackConfig::default());
+                let mut rx = lone_stack_at(2, &desc, StackConfig::default());
                 let body = vec![0x42u8; size];
                 b.iter(|| {
                     let (_, delivered) = pump_burst(&mut tx, &mut rx, &body, burst);

@@ -68,10 +68,27 @@ pub fn joined_world(
 ///
 /// Panics if the stack fails to build.
 pub fn lone_stack(desc: &str, config: StackConfig) -> Stack {
-    let mut s = build_stack(ep(1), desc, config).expect("stack builds");
-    let _ = s.init();
-    let _ = s.handle(StackInput::FromApp(Down::Join { group: group() }));
+    lone_stack_at(1, desc, config)
+}
+
+/// [`lone_stack`] for endpoint `i`.
+///
+/// # Panics
+///
+/// Panics if the stack fails to build.
+pub fn lone_stack_at(i: u64, desc: &str, config: StackConfig) -> Stack {
+    let mut s = build_stack(ep(i), desc, config).expect("stack builds");
+    s.init(&mut EffectSink::new());
+    let _ = handle(&mut s, StackInput::FromApp(Down::Join { group: group() }));
     s
+}
+
+/// Feeds one input through `stack`, returning its effects (a fresh sink
+/// per call).
+pub fn handle(stack: &mut Stack, input: StackInput) -> Vec<Effect> {
+    let mut sink = EffectSink::new();
+    stack.handle_into(input, &mut sink);
+    sink.into_effects()
 }
 
 /// Sends one cast through `tx` and feeds every produced frame into `rx`,
@@ -79,13 +96,12 @@ pub fn lone_stack(desc: &str, config: StackConfig) -> Stack {
 /// hot path with no simulator in between.
 pub fn pump_one(tx: &mut Stack, rx: &mut Stack, body: &[u8]) -> usize {
     let msg = tx.new_message(body.to_vec());
-    let fx = tx.handle(StackInput::FromApp(Down::Cast(msg)));
     let mut delivered = 0;
-    for e in fx {
+    for e in handle(tx, StackInput::FromApp(Down::Cast(msg))) {
         if let Effect::NetCast { wire } = e {
-            let fx2 = rx.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
+            let fx = handle(rx, StackInput::FromNet { from: ep(1), cast: true, wire });
             delivered +=
-                fx2.iter().filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))).count();
+                fx.iter().filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))).count();
         }
     }
     delivered

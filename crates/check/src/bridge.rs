@@ -330,7 +330,6 @@ mod tests {
         // A suspicion-injecting schedule (the wedge fixture's shape): the
         // trace records inject-suspect, the bridge must map it back into
         // the suspect block of the option list.
-        let scenario = Scenario::by_name("wedge").unwrap();
         let cfg = CheckConfig { max_suspects: 1, ..CheckConfig::default() };
         let trace = capture("wedge", &[11], &cfg);
         assert!(trace.records.iter().any(|r| r.kind == "inject-suspect"));

@@ -11,12 +11,12 @@
 //!   the sibling's run later *resumes* from that clone — no settle phase,
 //!   no prefix re-execution.  This is where the incremental fingerprints
 //!   and the snapshot machinery earn their throughput (E25).
-//! * **Stateless replay** (fallback, and the replay path for committed
+//! * **Stateless replay** (the root job, and the replay path for committed
 //!   schedules): the run re-executes from `Scenario::build`, consuming the
-//!   prefix choice by choice.  Used automatically when a stack layer opts
-//!   out of snapshotting, and on demand via `--no-snapshot` /
-//!   [`CheckConfig::snapshot_resume`] — the equivalence tests hold the two
-//!   strategies to identical runs, states, and verdicts.
+//!   prefix choice by choice.  Used for every job on demand via
+//!   `--no-snapshot` / [`CheckConfig::snapshot_resume`] — the equivalence
+//!   tests hold the two strategies to identical runs, states, and
+//!   verdicts.
 //!
 //! Three bounds keep the space finite:
 //!
@@ -310,11 +310,10 @@ pub struct CheckConfig {
     pub incremental_fp: bool,
     /// Resume sibling runs from world snapshots taken at their branch
     /// points instead of re-executing the settle phase and choice prefix
-    /// from scratch.  Falls back to stateless replay per-branch when a
-    /// layer does not support snapshotting.  The explored tree, the visited
-    /// states, and the verdict are identical either way (the equivalence
-    /// test holds them equal); only `steps` — events actually executed —
-    /// shrinks, which is the point.
+    /// from scratch.  The explored tree, the visited states, and the
+    /// verdict are identical either way (the equivalence test holds them
+    /// equal); only `steps` — events actually executed — shrinks, which is
+    /// the point.
     pub snapshot_resume: bool,
     /// Share layer state copy-on-write between a branch-point world and its
     /// parked sibling snapshots ([`SimWorld::snapshot`]); off pays a full
@@ -663,9 +662,9 @@ impl Scheduler for ControlledScheduler<'_> {
         };
 
         // Expansion happens *here*, while the branch point's world exists:
-        // each untaken *awake* sibling becomes a DFS node, preferably a
-        // snapshot of this world (so the sibling run resumes in place) and
-        // otherwise a full replay prefix.  Only beyond the replayed prefix
+        // each untaken *awake* sibling becomes a DFS node — a snapshot of
+        // this world (so the sibling run resumes in place), or a full replay
+        // prefix when snapshot resume is off.  Only beyond the replayed prefix
         // — the resumed branch point's own siblings were pushed by the run
         // that discovered it.  Each sibling inherits the current sleep set
         // plus the fire events of its awake left siblings (the taken option
@@ -687,26 +686,22 @@ impl Scheduler for ControlledScheduler<'_> {
                     }
                     let mut choices = self.rec.taken.clone();
                     choices.push(alt as u16);
-                    let snap = if self.cfg.snapshot_resume {
-                        if self.cfg.cow_snapshots {
-                            world.snapshot()
-                        } else {
-                            world.snapshot_deep()
-                        }
+                    spawn.push(if !self.cfg.snapshot_resume {
+                        Job::Fresh(choices, acc.clone())
                     } else {
-                        None
-                    };
-                    spawn.push(match snap {
-                        Some(w) => Job::Resume(Box::new(ResumeJob {
-                            world: w,
+                        Job::Resume(Box::new(ResumeJob {
+                            world: if self.cfg.cow_snapshots {
+                                world.snapshot()
+                            } else {
+                                world.snapshot_deep()
+                            },
                             choices,
                             branch_base: self.rec.branch_options.clone(),
                             drops_left: self.drops_left,
                             crashes_left: self.crashes_left,
                             suspects_left: self.suspects_left,
                             sleep: acc.clone(),
-                        })),
-                        None => Job::Fresh(choices, acc.clone()),
+                        }))
                     });
                     if self.cfg.reduction {
                         if let Step::Fire(i) = opts[alt] {
@@ -1362,7 +1357,7 @@ mod tests {
         let s = Scenario::by_name("flush3").unwrap();
         let mut live = s.build();
         live.run_for(Duration::from_millis(1));
-        let mut snap = live.snapshot().expect("canonical stacks are cloneable");
+        let mut snap = live.snapshot();
         assert_eq!(live.fingerprint(), snap.fingerprint(), "at the fork");
         live.run_for(Duration::from_millis(30));
         snap.run_for(Duration::from_millis(30));

@@ -16,6 +16,7 @@ use crate::event::{Down, Up};
 use crate::message::{FieldSpec, HeaderLayout, Message};
 use crate::stack::StackStats;
 use crate::time::SimTime;
+use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -30,7 +31,6 @@ pub(crate) enum Emit {
     Down(Down),
     Up(Up),
     Timer { token: u64, delay: Duration },
-    Trace(String),
 }
 
 /// The execution context handed to a layer for the duration of one event
@@ -47,6 +47,8 @@ pub struct LayerCtx<'a> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) emitted: &'a mut Vec<Emit>,
     pub(crate) stats: &'a mut StackStats,
+    /// The stack's trace sink while it wants events; `None` otherwise.
+    pub(crate) tracer: Option<&'a dyn TraceSink>,
 }
 
 impl<'a> LayerCtx<'a> {
@@ -68,9 +70,29 @@ impl<'a> LayerCtx<'a> {
         self.emitted.push(Emit::Timer { token, delay });
     }
 
-    /// Emits a free-form trace record (collected by the executor).
-    pub fn trace(&mut self, text: impl Into<String>) {
-        self.emitted.push(Emit::Trace(text.into()));
+    /// Records a free-form [`TraceKind::Note`].  The text is built only
+    /// when a trace sink admits the event, so an untraced stack pays one
+    /// branch.
+    pub fn note(&self, text: impl FnOnce() -> String) {
+        if let Some(t) = self.tracer {
+            if t.admit() {
+                t.record(TraceEvent {
+                    at: self.now,
+                    ep: self.local,
+                    kind: TraceKind::Note(text()),
+                });
+            }
+        }
+    }
+
+    /// Drops malformed input: counts it in this layer's
+    /// [`LayerTraffic::rejected`](crate::stack::LayerTraffic::rejected) and
+    /// records `why` as a lazy [`note`](Self::note).
+    pub fn reject(&mut self, why: impl FnOnce() -> String) {
+        if let Some(t) = self.stats.per_layer.get_mut(self.layer) {
+            t.rejected += 1;
+        }
+        self.note(why);
     }
 
     /// Current virtual time.
@@ -150,20 +172,37 @@ impl<'a> LayerCtx<'a> {
     }
 }
 
+/// Duplicates a boxed layer's full state.  Implemented for every
+/// `Layer + Clone`, so snapshot support is a type guarantee rather than a
+/// per-layer opt-in.
+pub trait LayerClone {
+    /// A deep copy of this layer's state.  The model checker resumes
+    /// exploration from worlds built of these copies, so `Clone` must copy
+    /// everything that affects future behaviour.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
 /// A protocol layer: the abstract data type of the paper's §1.
 ///
 /// Implementations must be `Send + Sync` so stacks can run under the
 /// threaded executor and so snapshotted layer state can be shared
 /// copy-on-write between explorer workers (layers hold no interior
-/// mutability: all mutation flows through `&mut self` dispatch).  The
-/// default method bodies make a new layer a pure pass-through; override only
-/// the events the protocol participates in.
+/// mutability: all mutation flows through `&mut self` dispatch), and
+/// `Clone` so stacks can be snapshotted ([`LayerClone`]).  The default
+/// method bodies make a new layer a pure pass-through; override only the
+/// events the protocol participates in.
 ///
 /// ```
 /// use horus_core::prelude::*;
 ///
 /// /// Counts messages travelling down the stack.
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Counter { down: u64 }
 ///
 /// impl Layer for Counter {
@@ -175,7 +214,7 @@ impl<'a> LayerCtx<'a> {
 ///     fn dump(&self) -> String { format!("down={}", self.down) }
 /// }
 /// ```
-pub trait Layer: Send + Sync {
+pub trait Layer: LayerClone + Send + Sync {
     /// The layer's name, e.g. `"NAK"`. Used in stack descriptions, dumps,
     /// and the stack fingerprint.
     fn name(&self) -> &'static str;
@@ -247,33 +286,6 @@ pub trait Layer: Send + Sync {
     fn pending_work(&self) -> u64 {
         0
     }
-
-    /// Duplicates this layer's full state, if the layer supports it.
-    ///
-    /// Snapshot support is *opt-in*: the default `None` makes
-    /// [`crate::stack::Stack::try_clone`] (and therefore world snapshotting
-    /// in the simulator) fail gracefully, and callers fall back to
-    /// re-execution.  A layer that opts in must clone **everything** that
-    /// affects future behaviour — the model checker resumes exploration
-    /// from cloned worlds, so a shallow or partial clone silently corrupts
-    /// the search.  For layers whose state is plain data this is just
-    /// `Some(Box::new(self.clone()))`.
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        None
-    }
-
-    /// Whether [`Layer::clone_box`] returns `Some` — i.e. whether this
-    /// layer's state can be duplicated for snapshotting.
-    ///
-    /// Copy-on-write snapshots ([`crate::stack::Stack::clone_cow`]) need to
-    /// know *up front* that every layer can be materialized later without
-    /// paying for a probe clone, so implementations that override
-    /// `clone_box` must override this to `true` as well.  The two must
-    /// agree: a layer that advertises snapshot support but returns `None`
-    /// from `clone_box` panics at the first post-snapshot mutation.
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +294,7 @@ mod tests {
     use crate::message::HeaderMode;
     use rand::SeedableRng;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -307,6 +319,7 @@ mod tests {
             rng: &mut rng,
             emitted: &mut emitted,
             stats: &mut stats,
+            tracer: None,
         };
         let mut l = Nop;
         l.on_down(Down::Leave, &mut ctx);
@@ -331,6 +344,7 @@ mod tests {
             rng: &mut rng,
             emitted: &mut emitted,
             stats: &mut stats,
+            tracer: None,
         };
         let m = ctx.new_message(&b"x"[..]);
         assert_eq!(m.body(), &b"x"[..]);

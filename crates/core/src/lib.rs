@@ -32,7 +32,7 @@
 //! use horus_core::prelude::*;
 //!
 //! // A stack of two pass-through layers; see `horus-layers` for real ones.
-//! #[derive(Debug, Default)]
+//! #[derive(Debug, Default, Clone)]
 //! struct Nop;
 //! impl Layer for Nop {
 //!     fn name(&self) -> &'static str { "NOP" }
@@ -42,11 +42,13 @@
 //!     .push(Box::new(Nop))
 //!     .push(Box::new(Nop))
 //!     .build()?;
+//! let mut effects = EffectSink::new();
+//! stack.init(&mut effects);
 //! let msg = stack.new_message(&b"hello"[..]);
-//! let effects = stack.handle(StackInput::FromApp(Down::Cast(msg)));
+//! stack.handle_into(StackInput::FromApp(Down::Cast(msg)), &mut effects);
 //! // With only pass-through layers the cast falls off the bottom of the
 //! // stack and becomes a network multicast effect.
-//! assert!(matches!(effects[0], Effect::NetCast { .. }));
+//! assert!(matches!(effects.as_slice()[0], Effect::NetCast { .. }));
 //! # Ok::<(), horus_core::HorusError>(())
 //! ```
 
@@ -68,7 +70,7 @@ pub use digest::StateDigest;
 pub use error::HorusError;
 pub use event::{Down, Effect, MergeId, MsgId, StabilityMatrix, StackInput, Up};
 pub use frame::WireFrame;
-pub use layer::{Layer, LayerCtx};
+pub use layer::{Layer, LayerClone, LayerCtx};
 pub use message::{FieldSpec, HeaderLayout, HeaderMode, Message};
 pub use stack::{EffectSink, LayerTraffic, Stack, StackBuilder, StackConfig, StackStats};
 pub use time::SimTime;
@@ -83,7 +85,7 @@ pub mod prelude {
     pub use crate::error::HorusError;
     pub use crate::event::{Down, Effect, MergeId, MsgId, StabilityMatrix, StackInput, Up};
     pub use crate::frame::WireFrame;
-    pub use crate::layer::{Layer, LayerCtx};
+    pub use crate::layer::{Layer, LayerClone, LayerCtx};
     pub use crate::message::{FieldSpec, HeaderLayout, HeaderMode, Message};
     pub use crate::stack::{
         EffectSink, LayerTraffic, Stack, StackBuilder, StackConfig, StackStats,

@@ -4,10 +4,11 @@
 //! A [`Stack`] is an ordered sequence of [`Layer`]s (index 0 on top) driven
 //! by a single scheduler — the paper's non-threaded model, where "each layer
 //! is implemented with a single scheduling thread per endpoint".  The stack
-//! is a pure state machine: [`Stack::handle`] consumes one [`StackInput`]
-//! and returns the [`Effect`]s the surrounding executor must perform
-//! (deliver upcalls, transmit wire messages, arm timers).  Determinism
-//! follows, and with it replayable failure scenarios.
+//! is a pure state machine: [`Stack::handle_into`] consumes one
+//! [`StackInput`] and appends the [`Effect`]s the surrounding executor must
+//! perform (deliver upcalls, transmit wire messages, arm timers) to a
+//! reusable [`EffectSink`].  Determinism follows, and with it replayable
+//! failure scenarios.
 //!
 //! Two §10 optimizations are implemented and benchmarkable:
 //!
@@ -119,6 +120,9 @@ pub struct LayerTraffic {
     pub ups: u64,
     /// Timer items dispatched into the layer.
     pub timers: u64,
+    /// Malformed inputs the layer dropped (truncated carriers, undecodable
+    /// reassemblies), counted in every executor.
+    pub rejected: u64,
 }
 
 impl StackStats {
@@ -168,19 +172,17 @@ impl StackStats {
             mine.downs += theirs.downs;
             mine.ups += theirs.ups;
             mine.timers += theirs.timers;
+            mine.rejected += theirs.rejected;
         }
         self.scratch_peak = self.scratch_peak.max(*scratch_peak);
     }
 }
 
-/// A reusable effect emission buffer: the zero-allocation counterpart of the
-/// `Vec<Effect>` that [`Stack::handle`] returns.
+/// A reusable effect emission buffer.
 ///
-/// Executors on the hot path keep one `EffectSink` per worker, pass it to
+/// Executors keep one `EffectSink` per worker, pass it to
 /// [`Stack::handle_into`] / [`Stack::handle_batch`], drain it, and pass it
-/// again: once warm, no allocation happens per dispatched event — the
-/// per-call `Vec` return of `handle` was the last steady-state allocation on
-/// the cast path.
+/// again: once warm, no allocation happens per dispatched event.
 #[derive(Debug, Default)]
 pub struct EffectSink {
     effects: Vec<Effect>,
@@ -232,24 +234,12 @@ impl EffectSink {
     }
 }
 
-impl Extend<Effect> for EffectSink {
-    fn extend<I: IntoIterator<Item = Effect>>(&mut self, iter: I) {
-        self.effects.extend(iter);
-    }
-}
-
-impl From<EffectSink> for Vec<Effect> {
-    fn from(sink: EffectSink) -> Vec<Effect> {
-        sink.effects
-    }
-}
-
 /// Builds a [`Stack`] from layers given top-first — the run-time `endpoint`
 /// downcall of Table 1.
 ///
 /// ```
 /// use horus_core::prelude::*;
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -387,8 +377,9 @@ enum Item {
 }
 
 /// Process-global count of layer states duplicated through
-/// [`Layer::clone_box`] — by deep stack clones ([`Stack::try_clone`]) and by
-/// copy-on-write materializations (first mutation of a shared layer after
+/// [`LayerClone::clone_box`](crate::layer::LayerClone::clone_box) — by deep
+/// stack clones ([`Stack::deep_clone`]) and by copy-on-write
+/// materializations (first mutation of a shared layer after
 /// [`Stack::clone_cow`]).  The model checker's benchmarks read this as the
 /// "bytes cloned" proxy when comparing snapshot strategies.
 static LAYER_CLONES: AtomicU64 = AtomicU64::new(0);
@@ -411,7 +402,8 @@ pub fn reset_layer_clones() {
 /// A freshly built stack owns each layer exclusively (`Arc` strong count 1)
 /// and mutates it in place.  [`Stack::clone_cow`] shares the `Arc`s instead
 /// of cloning layer state; the first dispatch into a shared layer — on
-/// either side — materializes a private copy via [`Layer::clone_box`].
+/// either side — materializes a private copy via
+/// [`LayerClone::clone_box`](crate::layer::LayerClone::clone_box).
 /// Layers a parked exploration sibling never touches are therefore never
 /// cloned, which is what makes world snapshots O(touched) instead of
 /// O(world).
@@ -429,31 +421,17 @@ impl LayerCell {
 
     /// Write access; materializes a private copy first if the cell is
     /// shared with a snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a shared layer breaks the
-    /// [`Layer::supports_snapshot`]/[`Layer::clone_box`] agreement: sharing
-    /// only happens after `supports_snapshot()` returned `true`, so
-    /// `clone_box()` returning `None` here is a layer implementation bug.
     fn make_mut(&mut self) -> &mut dyn Layer {
         if Arc::get_mut(&mut self.0).is_none() {
-            let copy = self.0.clone_box().unwrap_or_else(|| {
-                panic!(
-                    "layer {} advertises snapshot support but clone_box returned None",
-                    self.0.name()
-                )
-            });
             LAYER_CLONES.fetch_add(1, Ordering::Relaxed);
-            self.0 = Arc::new(copy);
+            self.0 = Arc::new(self.0.clone_box());
         }
         &mut **Arc::get_mut(&mut self.0).expect("uniquely owned after materialization")
     }
 
-    /// Shares the cell (no state copied) if the layer can be materialized
-    /// later.
-    fn share(&self) -> Option<LayerCell> {
-        self.get().supports_snapshot().then(|| LayerCell(Arc::clone(&self.0)))
+    /// Shares the cell; no state is copied.
+    fn share(&self) -> LayerCell {
+        LayerCell(Arc::clone(&self.0))
     }
 }
 
@@ -593,44 +571,34 @@ impl Stack {
         }
     }
 
-    /// Duplicates the stack's full runtime state, if every layer supports
-    /// snapshotting ([`Layer::clone_box`]).
+    /// Duplicates the stack's full runtime state, every layer deep-cloned
+    /// through [`LayerClone::clone_box`](crate::layer::LayerClone::clone_box).
     ///
     /// The clone is *behaviourally exact*: layers, RNG stream position,
     /// armed-timer bookkeeping, view, stats, and the digest caches all come
     /// along, so a cloned stack fed the same events produces the same
     /// effects — which is what lets the model checker resume exploration
-    /// from snapshotted worlds instead of re-executing prefixes.  Returns
-    /// `None` when any layer opts out.
-    pub fn try_clone(&self) -> Option<Stack> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(LayerCell::new(l.get().clone_box()?));
-            LAYER_CLONES.fetch_add(1, Ordering::Relaxed);
-        }
-        self.clone_rest(layers)
+    /// from snapshotted worlds instead of re-executing prefixes.
+    pub fn deep_clone(&self) -> Stack {
+        LAYER_CLONES.fetch_add(self.layers.len() as u64, Ordering::Relaxed);
+        self.clone_rest(self.layers.iter().map(|l| LayerCell::new(l.get().clone_box())).collect())
     }
 
-    /// Copy-on-write counterpart of [`Stack::try_clone`]: shares every
+    /// Copy-on-write counterpart of [`Stack::deep_clone`]: shares every
     /// layer's state with the original instead of duplicating it, deferring
     /// each layer's clone to the first dispatch into it — on either stack.
     ///
     /// Behaviourally indistinguishable from a deep clone (the checker's
     /// fingerprint `debug_assert` polices this); the difference is purely
-    /// when (and whether) layer state gets copied.  Returns `None` when any
-    /// layer opts out of snapshotting ([`Layer::supports_snapshot`]).
-    pub fn clone_cow(&self) -> Option<Stack> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(l.share()?);
-        }
-        self.clone_rest(layers)
+    /// when (and whether) layer state gets copied.
+    pub fn clone_cow(&self) -> Stack {
+        self.clone_rest(self.layers.iter().map(LayerCell::share).collect())
     }
 
     /// The non-layer half of stack duplication, shared by the deep and CoW
     /// paths.
-    fn clone_rest(&self, layers: Vec<LayerCell>) -> Option<Stack> {
-        Some(Stack {
+    fn clone_rest(&self, layers: Vec<LayerCell>) -> Stack {
+        Stack {
             local: self.local,
             layers,
             layout: Arc::clone(&self.layout),
@@ -652,7 +620,7 @@ impl Stack {
             view_dirty: self.view_dirty.clone(),
             tracer: self.tracer.clone(),
             traced: self.traced,
-        })
+        }
     }
 
     /// Layer names, top first.
@@ -666,7 +634,7 @@ impl Stack {
     }
 
     /// Sets the stack's notion of "now".  Executors call this before
-    /// [`Stack::handle`] whenever virtual or real time has advanced.
+    /// [`Stack::handle_into`] whenever virtual or real time has advanced.
     /// Monotone: an older timestamp (possible under the threaded executor,
     /// where inputs are timestamped at enqueue time) is ignored.
     pub fn set_now(&mut self, now: SimTime) {
@@ -780,11 +748,11 @@ impl Stack {
         ld.finish()
     }
 
-    /// Runs every layer's [`Layer::on_init`].  Executors must call this
-    /// exactly once, before any input, and perform the returned effects
-    /// (layers arm their periodic timers here).
-    pub fn init(&mut self) -> Vec<Effect> {
-        let mut effects = Vec::new();
+    /// Runs every layer's [`Layer::on_init`], appending the effects to
+    /// `sink`.  Executors must call this exactly once, before any input, and
+    /// perform the effects (layers arm their periodic timers here).
+    pub fn init(&mut self, sink: &mut EffectSink) {
+        let effects = sink.buf();
         for i in 0..self.layers.len() {
             self.layer_dirty[i].set(true);
             let mut emitted = std::mem::take(&mut self.emit_buf);
@@ -796,24 +764,13 @@ impl Stack {
                 rng: &mut self.rng,
                 emitted: &mut emitted,
                 stats: &mut self.stats,
+                tracer: if self.traced { self.tracer.as_deref() } else { None },
             };
             self.layers[i].make_mut().on_init(&mut ctx);
-            self.absorb(i, &mut emitted, &mut effects);
+            self.absorb(i, &mut emitted, effects);
             self.emit_buf = emitted;
-            self.drain(&mut effects);
+            self.drain(effects);
         }
-        effects
-    }
-
-    /// Feeds one input through the stack, returning the effects to perform.
-    ///
-    /// Thin shim over [`Stack::handle_into`] that allocates a fresh effect
-    /// vector per call.  Convenient for tests and cold paths; executors on
-    /// the hot path should keep a reusable [`EffectSink`] instead.
-    pub fn handle(&mut self, input: StackInput) -> Vec<Effect> {
-        let mut sink = EffectSink::new();
-        self.handle_into(input, &mut sink);
-        sink.into_effects()
     }
 
     /// Drains a burst of inputs through the stack in one pass, appending all
@@ -824,8 +781,8 @@ impl Stack {
     /// so batching is observationally invisible (the batch differential test
     /// holds this to byte-identical effects).  What the batch buys is
     /// amortization: one warm effect sink, warm scratch and emission buffers,
-    /// and one executor round-trip for the whole burst instead of a
-    /// `Vec<Effect>` allocation and effect walk per event.
+    /// and one executor round-trip for the whole burst instead of one per
+    /// event.
     pub fn handle_batch(
         &mut self,
         inputs: impl IntoIterator<Item = StackInput>,
@@ -887,19 +844,12 @@ impl Stack {
                             None => self.top_out(up, effects),
                         }
                     }
-                    Err(e) => {
-                        let reason = if matches!(e, FrameError::Fingerprint) {
-                            self.stats.fingerprint_drops += 1;
-                            DropReason::Fingerprint
-                        } else {
-                            self.stats.decode_drops += 1;
-                            DropReason::Decode
-                        };
+                    Err(reason) => {
+                        match reason {
+                            DropReason::Fingerprint => self.stats.fingerprint_drops += 1,
+                            _ => self.stats.decode_drops += 1,
+                        }
                         self.trace(TraceKind::FrameDrop { digest: 0, seq: 0, reason });
-                        effects.push(Effect::Trace(format!(
-                            "{}: dropped wire message from {from}: {e}",
-                            self.local
-                        )));
                     }
                 }
             }
@@ -968,6 +918,7 @@ impl Stack {
                 rng: &mut self.rng,
                 emitted: &mut emitted,
                 stats: &mut self.stats,
+                tracer: if self.traced { self.tracer.as_deref() } else { None },
             };
             match item {
                 Item::Down(ev) => self.layers[idx].make_mut().on_down(ev, &mut ctx),
@@ -1020,10 +971,6 @@ impl Stack {
                     });
                     effects.push(Effect::SetTimer { layer: idx, token, delay });
                 }
-                Emit::Trace(t) => {
-                    self.trace_lazy(|| TraceKind::Note(t.clone()));
-                    effects.push(Effect::Trace(t));
-                }
             }
         }
     }
@@ -1058,11 +1005,12 @@ impl Stack {
             }
             // Control downcalls consumed by protocol layers; reaching the
             // bottom means no layer in this composition implements them.
-            other => effects.push(Effect::Trace(format!(
-                "{}: downcall `{}` fell off the bottom of the stack unconsumed",
-                self.local,
-                other.kind()
-            ))),
+            other => self.trace_lazy(|| {
+                TraceKind::Note(format!(
+                    "downcall `{}` fell off the bottom of the stack unconsumed",
+                    other.kind()
+                ))
+            }),
         }
     }
 
@@ -1105,40 +1053,25 @@ impl Stack {
         WireFrame::build(self.fingerprint, msg.header_area(), msg.body().clone())
     }
 
-    fn decode_frame(&self, frame: &WireFrame) -> Result<Message, FrameError> {
-        let (head, body) = frame
-            .canonical_parts()
-            .ok_or_else(|| FrameError::Malformed("frame shorter than its envelope".into()))?;
+    /// Decodes a received frame; the error is why it was dropped (a short
+    /// or garbled frame, or one from a differently composed stack).
+    fn decode_frame(&self, frame: &WireFrame) -> Result<Message, DropReason> {
+        let (head, body) = frame.canonical_parts().ok_or(DropReason::Decode)?;
         let fp = u16::from_le_bytes([head[0], head[1]]);
         if fp != self.fingerprint {
-            return Err(FrameError::Fingerprint);
+            return Err(DropReason::Fingerprint);
         }
         let sum = u32::from_le_bytes([head[2], head[3], head[4], head[5]]);
         let mut ck = FrameChecksum::new();
         ck.update(&head[6..]);
         ck.update(&body);
         if sum != ck.finish() {
-            return Err(FrameError::Malformed("frame checksum mismatch (garbled)".into()));
+            return Err(DropReason::Decode);
         }
         // Zero-copy receive: the body segment is attached to the decoded
         // message as-is.
         Message::decode_parts(self.layout.clone(), &head[ENVELOPE_BYTES..], body)
-            .map_err(|e| FrameError::Malformed(e.to_string()))
-    }
-}
-
-#[derive(Debug)]
-enum FrameError {
-    Fingerprint,
-    Malformed(String),
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Fingerprint => write!(f, "stack fingerprint mismatch"),
-            FrameError::Malformed(m) => write!(f, "malformed frame: {m}"),
-        }
+            .map_err(|_| DropReason::Decode)
     }
 }
 
@@ -1158,7 +1091,7 @@ mod tests {
     use super::*;
     use crate::message::FieldSpec;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -1170,7 +1103,7 @@ mod tests {
     }
 
     /// A layer that stamps a sequence number on casts.
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Seq {
         next: u64,
         seen: Vec<u64>,
@@ -1216,6 +1149,13 @@ mod tests {
         EndpointAddr::new(i)
     }
 
+    /// One input through `s`, its effects collected in a fresh sink.
+    fn handle(s: &mut Stack, input: StackInput) -> Vec<Effect> {
+        let mut sink = EffectSink::new();
+        s.handle_into(input, &mut sink);
+        sink.into_effects()
+    }
+
     fn two_layer_stack(mode: HeaderMode) -> Stack {
         StackBuilder::new(ep(1))
             .push(Box::new(Seq::default()))
@@ -1229,7 +1169,7 @@ mod tests {
     fn cast_falls_out_the_bottom_as_netcast() {
         let mut s = two_layer_stack(HeaderMode::Compact);
         let m = s.new_message(&b"hi"[..]);
-        let fx = s.handle(StackInput::FromApp(Down::Cast(m)));
+        let fx = handle(&mut s, StackInput::FromApp(Down::Cast(m)));
         assert_eq!(fx.len(), 1);
         assert!(matches!(fx[0], Effect::NetCast { .. }));
         assert_eq!(s.stats().msgs_sent, 1);
@@ -1246,12 +1186,12 @@ mod tests {
                 .build()
                 .unwrap();
             let m = a.new_message(&b"payload"[..]);
-            let fx = a.handle(StackInput::FromApp(Down::Cast(m)));
+            let fx = handle(&mut a, StackInput::FromApp(Down::Cast(m)));
             let wire = match &fx[0] {
                 Effect::NetCast { wire } => wire.clone(),
                 other => panic!("unexpected {other:?}"),
             };
-            let fx = b.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
+            let fx = handle(&mut b, StackInput::FromNet { from: ep(1), cast: true, wire });
             let delivered = fx
                 .iter()
                 .find_map(|e| match e {
@@ -1279,14 +1219,14 @@ mod tests {
             .unwrap();
         let payload = Bytes::from(vec![0xAB; 256]);
         let m = a.new_message(payload.clone());
-        let fx = a.handle(StackInput::FromApp(Down::Cast(m)));
+        let fx = handle(&mut a, StackInput::FromApp(Down::Cast(m)));
         let wire = match &fx[0] {
             Effect::NetCast { wire } => wire.clone(),
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(wire.body().as_ptr(), payload.as_ptr());
         assert_eq!(a.stats().payload_copies, 0);
-        let fx = b.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(1), cast: true, wire });
         let delivered = fx
             .iter()
             .find_map(|e| match e {
@@ -1304,14 +1244,15 @@ mod tests {
         // A stack with different composition.
         let mut b = StackBuilder::new(ep(2)).push(Box::new(Nop)).build().unwrap();
         let m = a.new_message(&b"x"[..]);
-        let fx = a.handle(StackInput::FromApp(Down::Cast(m)));
+        let fx = handle(&mut a, StackInput::FromApp(Down::Cast(m)));
         let wire = match &fx[0] {
             Effect::NetCast { wire } => wire.clone(),
             _ => unreachable!(),
         };
-        let fx = b.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
-        assert!(fx.iter().all(|e| matches!(e, Effect::Trace(_))));
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(1), cast: true, wire });
+        assert!(fx.is_empty());
         assert_eq!(b.stats().fingerprint_drops, 1);
+        assert_eq!(b.stats().decode_drops, 0);
     }
 
     #[test]
@@ -1330,7 +1271,7 @@ mod tests {
         let mut plain = build(false);
         for s in [&mut skipping, &mut plain] {
             let m = s.new_message(&b"x"[..]);
-            let _ = s.handle(StackInput::FromApp(Down::Cast(m)));
+            let _ = handle(s, StackInput::FromApp(Down::Cast(m)));
         }
         assert!(skipping.stats().dispatches < plain.stats().dispatches);
         assert_eq!(skipping.stats().skipped, 3);
@@ -1339,7 +1280,7 @@ mod tests {
     #[test]
     fn dump_reports_every_layer() {
         let mut s = two_layer_stack(HeaderMode::Compact);
-        let fx = s.handle(StackInput::FromApp(Down::Dump));
+        let fx = handle(&mut s, StackInput::FromApp(Down::Dump));
         let names: Vec<_> = fx
             .iter()
             .filter_map(|e| match e {
@@ -1355,27 +1296,40 @@ mod tests {
     #[test]
     fn destroy_is_terminal() {
         let mut s = two_layer_stack(HeaderMode::Compact);
-        let fx = s.handle(StackInput::FromApp(Down::Destroy));
+        let fx = handle(&mut s, StackInput::FromApp(Down::Destroy));
         assert!(fx.iter().any(|e| matches!(e, Effect::Deliver(Up::Destroy))));
         assert!(fx.iter().any(|e| matches!(e, Effect::NetLeave)));
         assert!(s.is_destroyed());
         let m = s.new_message(&b"x"[..]);
-        assert!(s.handle(StackInput::FromApp(Down::Cast(m))).is_empty());
+        assert!(handle(&mut s, StackInput::FromApp(Down::Cast(m))).is_empty());
     }
 
     #[test]
     fn join_records_group_and_reaches_transport() {
         let mut s = two_layer_stack(HeaderMode::Compact);
-        let fx = s.handle(StackInput::FromApp(Down::Join { group: GroupAddr::new(5) }));
+        let fx = handle(&mut s, StackInput::FromApp(Down::Join { group: GroupAddr::new(5) }));
         assert!(matches!(fx[0], Effect::NetJoin { group } if group == GroupAddr::new(5)));
         assert_eq!(s.group(), Some(GroupAddr::new(5)));
     }
 
     #[test]
     fn unconsumed_control_downcall_traced() {
+        #[derive(Debug, Default)]
+        struct Notes(std::sync::Mutex<Vec<String>>);
+        impl TraceSink for Notes {
+            fn record(&self, ev: TraceEvent) {
+                if let TraceKind::Note(text) = ev.kind {
+                    self.0.lock().unwrap().push(text);
+                }
+            }
+        }
+        let notes = Arc::new(Notes::default());
         let mut s = two_layer_stack(HeaderMode::Compact);
-        let fx = s.handle(StackInput::FromApp(Down::FlushOk));
-        assert!(matches!(&fx[0], Effect::Trace(t) if t.contains("flush_ok")));
+        s.set_tracer(notes.clone());
+        let fx = handle(&mut s, StackInput::FromApp(Down::FlushOk));
+        assert!(fx.is_empty());
+        let notes = notes.0.lock().unwrap();
+        assert!(matches!(&notes[..], [t] if t.contains("flush_ok") && t.contains("fell off")));
     }
 
     #[test]
@@ -1403,23 +1357,23 @@ mod tests {
         assert_eq!(a.state_digest_cached(), a.state_digest(), "fresh build");
         let before = a.state_digest_cached();
         let m = a.new_message(&b"hi"[..]);
-        let fx = a.handle(StackInput::FromApp(Down::Cast(m)));
+        let fx = handle(&mut a, StackInput::FromApp(Down::Cast(m)));
         assert_eq!(a.state_digest_cached(), a.state_digest(), "after a cast");
         assert_ne!(a.state_digest_cached(), before, "SEQ state advanced");
         let wire = match &fx[0] {
             Effect::NetCast { wire } => wire.clone(),
             other => panic!("unexpected {other:?}"),
         };
-        let _ = b.handle(StackInput::FromNet { from: ep(1), cast: true, wire });
+        let _ = handle(&mut b, StackInput::FromNet { from: ep(1), cast: true, wire });
         assert_eq!(b.state_digest_cached(), b.state_digest(), "after a receive");
-        let _ = b.handle(StackInput::FromApp(Down::Destroy));
+        let _ = handle(&mut b, StackInput::FromApp(Down::Destroy));
         assert_eq!(b.state_digest_cached(), b.state_digest(), "after destroy");
     }
 
     #[test]
     fn timer_roundtrip() {
         /// Arms a timer on init and counts expirations.
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Ticker {
             fired: u64,
         }
@@ -1439,15 +1393,17 @@ mod tests {
             }
         }
         let mut s = StackBuilder::new(ep(1)).push(Box::new(Ticker::default())).build().unwrap();
-        let fx = s.init();
-        let (layer, token) = fx
+        let mut sink = EffectSink::new();
+        s.init(&mut sink);
+        let (layer, token) = sink
+            .as_slice()
             .iter()
             .find_map(|e| match e {
                 Effect::SetTimer { layer, token, .. } => Some((*layer, *token)),
                 _ => None,
             })
             .expect("timer armed at init");
-        let _ = s.handle(StackInput::Timer { layer, token, now: SimTime::from_millis(10) });
+        let _ = handle(&mut s, StackInput::Timer { layer, token, now: SimTime::from_millis(10) });
         assert_eq!(s.focus("TICK").unwrap(), "fired=1");
         assert_eq!(s.now(), SimTime::from_millis(10));
     }

@@ -264,7 +264,10 @@ pub enum TraceKind {
         /// Calendar sequence number.
         seq: u64,
     },
-    /// A free-text layer trace (`Emit::Trace` / `Effect::Trace`).
+    /// A free-text note: a layer's [`LayerCtx::note`] or rejected input,
+    /// or a downcall that fell off the bottom of the stack.
+    ///
+    /// [`LayerCtx::note`]: crate::layer::LayerCtx::note
     Note(String),
 }
 
@@ -641,9 +644,7 @@ mod tests {
         let inner = Arc::new(Counter::default());
         let s = SamplingSink::new(inner.clone(), 2);
         for i in 0..10 {
-            if i % 3 == 0 {
-                s.record(ev(TraceKind::InjectCrash));
-            } else if s.admit() {
+            if i % 3 == 0 || s.admit() {
                 s.record(ev(TraceKind::InjectCrash));
             }
         }

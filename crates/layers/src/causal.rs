@@ -132,14 +132,6 @@ impl Causal {
 }
 
 impl Layer for Causal {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CAUSAL"
     }
@@ -187,7 +179,7 @@ impl Layer for Causal {
                 self.drain(ctx);
                 for (_, _, src, msg) in std::mem::take(&mut self.buffer) {
                     // Defensive: should be unreachable under a VS stack.
-                    ctx.trace("CAUSAL: undeliverable residue at view change".to_string());
+                    ctx.note(|| "CAUSAL: undeliverable residue at view change".to_string());
                     ctx.up(Up::Cast { src, msg });
                 }
                 assert!(
@@ -250,14 +242,6 @@ impl Ts {
 }
 
 impl Layer for Ts {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TS"
     }

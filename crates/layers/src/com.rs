@@ -61,14 +61,6 @@ impl Com {
 }
 
 impl Layer for Com {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "COM"
     }
@@ -175,9 +167,18 @@ impl Layer for Com {
 mod tests {
     use super::*;
     use horus_core::view::View;
+    use horus_trace::TraceBuf;
+    use std::sync::Arc;
 
     fn ep(i: u64) -> EndpointAddr {
         EndpointAddr::new(i)
+    }
+
+    /// One input through `s`, its effects collected in a fresh sink.
+    fn handle(s: &mut Stack, input: StackInput) -> Vec<Effect> {
+        let mut sink = EffectSink::new();
+        s.handle_into(input, &mut sink);
+        sink.into_effects()
     }
 
     fn stack(com: Com) -> Stack {
@@ -186,7 +187,7 @@ mod tests {
 
     fn cast_wire(s: &mut Stack, body: &[u8]) -> WireFrame {
         let m = s.new_message(body.to_vec());
-        let fx = s.handle(StackInput::FromApp(Down::Cast(m)));
+        let fx = handle(s, StackInput::FromApp(Down::Cast(m)));
         match &fx[0] {
             Effect::NetCast { wire } => wire.clone(),
             other => panic!("expected NetCast, got {other:?}"),
@@ -199,7 +200,7 @@ mod tests {
         let mut b = stack(Com::new());
         // b is a different endpoint; rebuild with addr 2 for clarity.
         let wire = cast_wire(&mut a, b"hello");
-        let fx = b.handle(StackInput::FromNet { from: ep(9), cast: true, wire });
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(9), cast: true, wire });
         assert!(fx
             .iter()
             .any(|e| matches!(e, Effect::Deliver(Up::Cast { src, .. }) if *src == ep(9))));
@@ -210,13 +211,14 @@ mod tests {
         let mut a = stack(Com::new());
         let mut b = stack(Com::new());
         let view = View::initial(GroupAddr::new(1), ep(1)).with_joined(&[ep(2)]);
-        let _ = b.handle(StackInput::FromApp(Down::InstallView(view)));
+        let _ = handle(&mut b, StackInput::FromApp(Down::InstallView(view)));
         let wire = cast_wire(&mut a, b"ok");
         // From a member: delivered.
-        let fx = b.handle(StackInput::FromNet { from: ep(2), cast: true, wire: wire.clone() });
+        let fx =
+            handle(&mut b, StackInput::FromNet { from: ep(2), cast: true, wire: wire.clone() });
         assert!(fx.iter().any(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))));
         // From an outsider: dropped.
-        let fx = b.handle(StackInput::FromNet { from: ep(9), cast: true, wire });
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(9), cast: true, wire });
         assert!(!fx.iter().any(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))));
         let com: &Com = b.focus_as("COM").unwrap();
         assert_eq!(com.filtered, 1);
@@ -227,14 +229,14 @@ mod tests {
         let mut a = stack(Com::new());
         let mut b = stack(Com::new());
         let view = View::initial(GroupAddr::new(1), ep(1));
-        let _ = b.handle(StackInput::FromApp(Down::InstallView(view)));
+        let _ = handle(&mut b, StackInput::FromApp(Down::InstallView(view)));
         let m = a.new_message(&b"merge?"[..]);
-        let fx = a.handle(StackInput::FromApp(Down::Send { dests: vec![ep(1)], msg: m }));
+        let fx = handle(&mut a, StackInput::FromApp(Down::Send { dests: vec![ep(1)], msg: m }));
         let wire = match &fx[0] {
             Effect::NetSend { wire, .. } => wire.clone(),
             other => panic!("{other:?}"),
         };
-        let fx = b.handle(StackInput::FromNet { from: ep(9), cast: false, wire });
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(9), cast: false, wire });
         assert!(fx.iter().any(|e| matches!(e, Effect::Deliver(Up::Send { .. }))));
     }
 
@@ -246,7 +248,7 @@ mod tests {
             StackBuilder::new(ep(2)).push(Box::new(Com::with_pushed_src())).build().unwrap();
         let wire = cast_wire(&mut a, b"x");
         // Transport claims ep(9), header says ep(7): header wins.
-        let fx = b.handle(StackInput::FromNet { from: ep(9), cast: true, wire });
+        let fx = handle(&mut b, StackInput::FromNet { from: ep(9), cast: true, wire });
         let src = fx
             .iter()
             .find_map(|e| match e {
@@ -259,9 +261,14 @@ mod tests {
 
     #[test]
     fn install_view_is_consumed_not_traced() {
+        let buf = Arc::new(TraceBuf::new());
         let mut s = stack(Com::new());
+        s.set_tracer(buf.clone());
         let view = View::initial(GroupAddr::new(1), ep(1));
-        let fx = s.handle(StackInput::FromApp(Down::InstallView(view)));
-        assert!(fx.is_empty(), "InstallView must not fall off the bottom: {fx:?}");
+        let fx = handle(&mut s, StackInput::FromApp(Down::InstallView(view)));
+        assert!(fx.is_empty(), "{fx:?}");
+        let notes: Vec<_> =
+            buf.take().into_iter().filter(|r| matches!(r.kind, TraceKind::Note(_))).collect();
+        assert!(notes.is_empty(), "InstallView must not fall off the bottom: {notes:?}");
     }
 }

@@ -223,14 +223,6 @@ impl Fd {
 }
 
 impl Layer for Fd {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FD"
     }

@@ -129,7 +129,7 @@ impl Frag {
                 original.meta.src = Some(src);
                 self.pass_up(src, cast, original, ctx);
             }
-            Err(e) => ctx.trace(format!("FRAG: reassembly decode failed: {e}")),
+            Err(e) => ctx.reject(|| format!("FRAG: reassembly decode failed: {e}")),
         }
     }
 
@@ -143,14 +143,6 @@ impl Frag {
 }
 
 impl Layer for Frag {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FRAG"
     }
@@ -327,21 +319,13 @@ impl NFrag {
                         ctx.up(Up::Send { src, msg: original });
                     }
                 }
-                Err(e) => ctx.trace(format!("NFRAG: reassembly decode failed: {e}")),
+                Err(e) => ctx.reject(|| format!("NFRAG: reassembly decode failed: {e}")),
             }
         }
     }
 }
 
 impl Layer for NFrag {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NFRAG"
     }

@@ -829,7 +829,7 @@ impl Mbrship {
                     self.recovered += 1;
                     ctx.up(Up::Cast { src: origin, msg: m });
                 }
-                Err(e) => ctx.trace(format!("MBRSHIP: recovered message undecodable: {e}")),
+                Err(e) => ctx.reject(|| format!("MBRSHIP: recovered message undecodable: {e}")),
             }
         }
         self.maybe_flush_ok(ctx);
@@ -1260,14 +1260,6 @@ impl Default for Mbrship {
 }
 
 impl Layer for Mbrship {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MBRSHIP"
     }

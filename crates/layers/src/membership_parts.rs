@@ -291,14 +291,6 @@ impl Bms {
 }
 
 impl Layer for Bms {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "BMS"
     }
@@ -495,14 +487,6 @@ impl Vss {
 }
 
 impl Layer for Vss {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "VSS"
     }
@@ -676,14 +660,6 @@ impl FlushLayer {
 }
 
 impl Layer for FlushLayer {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FLUSH"
     }

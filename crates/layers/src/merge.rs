@@ -51,14 +51,6 @@ impl Merge {
 }
 
 impl Layer for Merge {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MERGE"
     }

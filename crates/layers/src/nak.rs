@@ -545,14 +545,6 @@ impl Nak {
 }
 
 impl Layer for Nak {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NAK"
     }

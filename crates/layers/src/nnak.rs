@@ -96,14 +96,6 @@ impl Nnak {
 }
 
 impl Layer for Nnak {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NNAK"
     }

@@ -210,7 +210,7 @@ impl Pack {
         for _ in 0..n {
             if body.len() - pos < 4 {
                 self.malformed += 1;
-                ctx.trace("PACK: carrier truncated at length prefix".to_string());
+                ctx.reject(|| "PACK: carrier truncated at length prefix".to_string());
                 return;
             }
             let len = u32::from_le_bytes([body[pos], body[pos + 1], body[pos + 2], body[pos + 3]])
@@ -218,13 +218,13 @@ impl Pack {
             pos += 4;
             if len < 2 || body.len() - pos < len {
                 self.malformed += 1;
-                ctx.trace("PACK: carrier sub-message overruns body".to_string());
+                ctx.reject(|| "PACK: carrier sub-message overruns body".to_string());
                 return;
             }
             let hdr_len = u16::from_le_bytes([body[pos], body[pos + 1]]) as usize;
             if len - 2 < hdr_len {
                 self.malformed += 1;
-                ctx.trace("PACK: sub-message header overruns record".to_string());
+                ctx.reject(|| "PACK: sub-message header overruns record".to_string());
                 return;
             }
             let hdr = &body[pos + 2..pos + 2 + hdr_len];
@@ -238,7 +238,7 @@ impl Pack {
                 }
                 Err(e) => {
                     self.malformed += 1;
-                    ctx.trace(format!("PACK: sub-message decode failed: {e}"));
+                    ctx.reject(|| format!("PACK: sub-message decode failed: {e}"));
                 }
             }
         }
@@ -254,14 +254,6 @@ impl Pack {
 }
 
 impl Layer for Pack {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PACK"
     }

@@ -117,14 +117,6 @@ impl Pinwheel {
 }
 
 impl Layer for Pinwheel {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PINWHEEL"
     }

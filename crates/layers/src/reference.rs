@@ -138,14 +138,6 @@ impl NakRef {
 }
 
 impl Layer for NakRef {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NAK_REF"
     }
@@ -433,14 +425,6 @@ impl TotalRef {
 }
 
 impl Layer for TotalRef {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TOTAL_REF"
     }

@@ -53,14 +53,6 @@ impl Safe {
 }
 
 impl Layer for Safe {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SAFE"
     }

@@ -96,14 +96,6 @@ impl Default for Rpc {
 }
 
 impl Layer for Rpc {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "RPC"
     }
@@ -284,14 +276,6 @@ impl Default for ClockSync {
 }
 
 impl Layer for ClockSync {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CLOCKSYNC"
     }
@@ -567,14 +551,6 @@ impl Secure {
 }
 
 impl Layer for Secure {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SECURE"
     }
@@ -708,14 +684,6 @@ impl Mux {
 }
 
 impl Layer for Mux {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "MUX"
     }

@@ -124,14 +124,6 @@ impl Stable {
 }
 
 impl Layer for Stable {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "STABLE"
     }

@@ -291,14 +291,6 @@ impl Total {
 }
 
 impl Layer for Total {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TOTAL"
     }

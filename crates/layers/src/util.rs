@@ -30,14 +30,6 @@ use std::time::Duration;
 pub struct Nop;
 
 impl Layer for Nop {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NOP"
     }
@@ -52,14 +44,6 @@ impl Layer for Nop {
 pub struct NopOpaque;
 
 impl Layer for NopOpaque {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "NOP_OPAQUE"
     }
@@ -89,14 +73,6 @@ pub struct Chksum {
 }
 
 impl Layer for Chksum {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "CHKSUM"
     }
@@ -176,14 +152,6 @@ impl Sign {
 }
 
 impl Layer for Sign {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SIGN"
     }
@@ -257,14 +225,6 @@ impl Encrypt {
 }
 
 impl Layer for Encrypt {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "ENCRYPT"
     }
@@ -351,14 +311,6 @@ fn rle_decode(data: &[u8]) -> Option<Vec<u8>> {
 }
 
 impl Layer for Compress {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "COMPRESS"
     }
@@ -442,14 +394,6 @@ impl Default for Flow {
 }
 
 impl Layer for Flow {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "FLOW"
     }
@@ -523,14 +467,6 @@ impl Default for Prio {
 }
 
 impl Layer for Prio {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "PRIO"
     }
@@ -600,28 +536,20 @@ impl Default for Trace {
 }
 
 impl Layer for Trace {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "TRACE"
     }
     fn on_down(&mut self, ev: Down, ctx: &mut LayerCtx<'_>) {
         *self.downs.entry(ev.kind()).or_insert(0) += 1;
         if self.verbose {
-            ctx.trace(format!("TRACE down {}", ev.kind()));
+            ctx.note(|| format!("TRACE down {}", ev.kind()));
         }
         ctx.down(ev);
     }
     fn on_up(&mut self, ev: Up, ctx: &mut LayerCtx<'_>) {
         *self.ups.entry(ev.kind()).or_insert(0) += 1;
         if self.verbose {
-            ctx.trace(format!("TRACE up {}", ev.kind()));
+            ctx.note(|| format!("TRACE up {}", ev.kind()));
         }
         ctx.up(ev);
     }
@@ -658,14 +586,6 @@ impl Acct {
 }
 
 impl Layer for Acct {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "ACCT"
     }
@@ -717,14 +637,6 @@ impl Logger {
 }
 
 impl Layer for Logger {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "LOGGER"
     }
@@ -769,14 +681,6 @@ impl DropEvery {
 }
 
 impl Layer for DropEvery {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "DROP"
     }
@@ -819,14 +723,6 @@ pub struct Seqno {
 }
 
 impl Layer for Seqno {
-    fn clone_box(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "SEQNO"
     }

@@ -18,6 +18,6 @@ pub mod sim;
 pub mod threaded;
 
 pub use fault::{FaultDrop, FaultPlan, FaultRule};
-pub use sched::{ChanceKind, FixedScheduler, NetScheduler, RandomScheduler};
+pub use sched::{ChanceKind, FixedScheduler, NetScheduler, NetSchedulerClone, RandomScheduler};
 pub use sim::{Delivery, NetConfig, NetStats, SimNetwork};
 pub use threaded::{FrameSink, LoopbackNet, LoopbackStatsSnapshot};

@@ -31,12 +31,26 @@ pub enum ChanceKind {
     DirectedLoss,
 }
 
+/// Duplicates a boxed scheduler's full state (RNG position included), so
+/// world snapshots resume the same choice stream.  Implemented for every
+/// `NetScheduler + Clone + Send`.
+pub trait NetSchedulerClone {
+    /// A copy of this scheduler.
+    fn clone_box(&self) -> Box<dyn NetScheduler + Send>;
+}
+
+impl<T: NetScheduler + Clone + Send + 'static> NetSchedulerClone for T {
+    fn clone_box(&self) -> Box<dyn NetScheduler + Send> {
+        Box::new(self.clone())
+    }
+}
+
 /// Resolver for the network's probabilistic choice points.
 ///
 /// Implementations must be deterministic functions of their own state: the
 /// same construction plus the same call sequence must yield the same
 /// answers, or `(seed, script)` replay breaks.
-pub trait NetScheduler {
+pub trait NetScheduler: NetSchedulerClone {
     /// Resolves a probabilistic event with probability `p`.
     fn chance(&mut self, kind: ChanceKind, p: f64) -> bool;
 
@@ -45,13 +59,6 @@ pub trait NetScheduler {
 
     /// Picks an index in `[0, n)` (garble positions / bit choices).
     fn pick(&mut self, n: usize) -> usize;
-
-    /// Duplicates this scheduler's full state (RNG position included), if
-    /// supported.  Opt-in, like `Layer::clone_box`: the default `None`
-    /// makes world snapshotting fall back to re-execution.
-    fn clone_box(&self) -> Option<Box<dyn NetScheduler + Send>> {
-        None
-    }
 }
 
 impl NetScheduler for StdRng {
@@ -83,10 +90,6 @@ impl RandomScheduler {
 }
 
 impl NetScheduler for RandomScheduler {
-    fn clone_box(&self) -> Option<Box<dyn NetScheduler + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn chance(&mut self, kind: ChanceKind, p: f64) -> bool {
         self.rng.chance(kind, p)
     }
@@ -108,10 +111,6 @@ impl NetScheduler for RandomScheduler {
 pub struct FixedScheduler;
 
 impl NetScheduler for FixedScheduler {
-    fn clone_box(&self) -> Option<Box<dyn NetScheduler + Send>> {
-        Some(Box::new(*self))
-    }
-
     fn chance(&mut self, _kind: ChanceKind, _p: f64) -> bool {
         false
     }

@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use horus_net::NetConfig;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Echo;
     impl Layer for Echo {
         fn name(&self) -> &'static str {

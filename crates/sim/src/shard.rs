@@ -103,11 +103,13 @@ enum ShardIn {
     Stop,
 }
 
-struct TimerEntry {
-    due: Instant,
-    ep: EndpointAddr,
-    layer: usize,
-    token: u64,
+/// A wall-clock timer armed by `ep`'s stack; heaps of these pop the
+/// earliest `due` first.  Shared with [`crate::threaded`].
+pub(crate) struct TimerEntry {
+    pub(crate) due: Instant,
+    pub(crate) ep: EndpointAddr,
+    pub(crate) layer: usize,
+    pub(crate) token: u64,
 }
 
 impl PartialEq for TimerEntry {
@@ -290,9 +292,8 @@ impl Worker {
             self.tracer = Some(t.clone());
         }
         stack.set_now(self.now());
-        let fx = stack.init();
+        stack.init(&mut self.sink);
         self.stacks.insert(ep, Owned { stack, log });
-        self.sink.extend(fx);
         self.apply_effects(ep);
     }
 
@@ -366,7 +367,6 @@ impl Worker {
                 Effect::SetTimer { layer, token, delay } => {
                     self.timers.push(TimerEntry { due: Instant::now() + delay, ep, layer, token });
                 }
-                Effect::Trace(_) => {}
             }
         }
         self.sink = sink;
@@ -422,7 +422,7 @@ impl FrameSink for ShardSink {
 /// use horus_core::prelude::*;
 /// use std::time::Duration;
 ///
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -624,7 +624,7 @@ impl Drop for ShardExecutor {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -691,7 +691,7 @@ mod tests {
 
     #[test]
     fn timers_fire_under_real_time() {
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Tick {
             count: u64,
         }

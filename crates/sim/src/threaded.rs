@@ -1,21 +1,19 @@
-//! A real-time, really-threaded executor — the other side of the §10
-//! dispatch-model ablation.
+//! A real-time, really-threaded executor — the locked-threads side of the
+//! §10 dispatch-model ablation.
 //!
 //! The paper reports that Horus was moving *away* from intra-stack threading
 //! ("concurrency within a stack does not lead to significant gains") toward
-//! one scheduling thread per stack.  This module runs the same stacks under
-//! both regimes over the in-process loopback transport:
-//!
-//! * [`DispatchModel::EventQueue`] — one worker thread owns the stack; all
-//!   inputs (frames, timers, downcalls) funnel through one channel.  No
-//!   locks on the hot path.
-//! * [`DispatchModel::LockedThreads`] — several worker threads share the
-//!   input channel and take a mutex around every stack dispatch, emulating
-//!   the thread-per-upcall, lock-per-group model of the 1995 system.
+//! one scheduling thread per stack.  [`ThreadedEndpoint`] runs a stack the
+//! 1995 way: a frame pump and a timer thread feed one input channel, and
+//! `n` worker threads share it, taking a mutex around every stack dispatch
+//! (the thread-per-upcall, lock-per-group model).  With one worker this is
+//! the per-event event-queue baseline; the batched one-thread-per-stack
+//! design is [`crate::shard::ShardExecutor`].
 //!
 //! Timekeeping maps the monotonic OS clock onto [`SimTime`], so protocol
 //! timers behave identically to the simulated world.
 
+use crate::shard::TimerEntry;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use horus_core::prelude::*;
@@ -27,45 +25,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How a stack's events are dispatched (§10 problem 2 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchModel {
-    /// Single scheduler thread per stack (the event-queue model the paper
-    /// adopts).
-    EventQueue,
-    /// `n` worker threads, each locking the stack per event (the threaded
-    /// model the paper moves away from).
-    LockedThreads(usize),
-}
-
 enum In {
     Frame(Frame),
     Timer { layer: usize, token: u64 },
     App(Down),
     Stop,
-}
-
-struct TimerEntry {
-    due: Instant,
-    layer: usize,
-    token: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due) // min-heap
-    }
 }
 
 struct Shared {
@@ -85,8 +49,9 @@ impl Shared {
         SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
-    fn apply(&self, ep: EndpointAddr, effects: Vec<Effect>) {
-        for fx in effects {
+    /// Performs (and drains) the effects in `sink`.
+    fn apply(&self, ep: EndpointAddr, sink: &mut EffectSink) {
+        for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => self.upcalls.lock().push(up),
                 Effect::NetCast { wire } => {
@@ -100,11 +65,11 @@ impl Shared {
                 Effect::SetTimer { layer, token, delay } => {
                     self.timers.lock().push(TimerEntry {
                         due: Instant::now() + delay,
+                        ep,
                         layer,
                         token,
                     });
                 }
-                Effect::Trace(_) => {}
             }
         }
     }
@@ -121,8 +86,9 @@ pub struct ThreadedEndpoint {
 }
 
 impl ThreadedEndpoint {
-    /// Spawns an endpoint running `stack` under `model` on `net`.
-    pub fn spawn(stack: Stack, net: LoopbackNet, model: DispatchModel) -> Self {
+    /// Spawns an endpoint running `stack` on `net` with `workers` dispatch
+    /// threads (at least one), each locking the stack per event.
+    pub fn spawn(stack: Stack, net: LoopbackNet, workers: usize) -> Self {
         let addr = stack.local_addr();
         let tracer = stack.tracer().cloned();
         let rx_frames = net.register(addr);
@@ -138,12 +104,12 @@ impl ThreadedEndpoint {
 
         // Init layers (arms initial timers).
         {
+            let mut sink = EffectSink::new();
             let mut stack = shared.stack.lock();
-            let now = shared.now();
-            stack.set_now(now);
-            let fx = stack.init();
+            stack.set_now(shared.now());
+            stack.init(&mut sink);
             drop(stack);
-            shared.apply(addr, fx);
+            shared.apply(addr, &mut sink);
         }
 
         // Frame pump: moves transport frames into the input channel.
@@ -199,15 +165,14 @@ impl ThreadedEndpoint {
             }))
         };
 
-        let n_workers = match model {
-            DispatchModel::EventQueue => 1,
-            DispatchModel::LockedThreads(n) => n.max(1),
-        };
+        let n_workers = workers.max(1);
         let mut workers = Vec::with_capacity(n_workers);
         for _ in 0..n_workers {
             let shared = Arc::clone(&shared);
             let rx: Receiver<In> = input_rx.clone();
             workers.push(std::thread::spawn(move || {
+                // One reusable effect buffer per worker.
+                let mut sink = EffectSink::with_capacity(16);
                 for input in rx.iter() {
                     let stack_input = match input {
                         In::Stop => break,
@@ -239,13 +204,12 @@ impl ThreadedEndpoint {
                         }
                         In::App(down) => StackInput::FromApp(down),
                     };
-                    let fx = {
+                    {
                         let mut stack = shared.stack.lock();
-                        let now = shared.now();
-                        stack.set_now(now);
-                        stack.handle(stack_input)
-                    };
-                    shared.apply(shared.stack.lock().local_addr(), fx);
+                        stack.set_now(shared.now());
+                        stack.handle_into(stack_input, &mut sink);
+                    }
+                    shared.apply(addr, &mut sink);
                 }
             }));
         }
@@ -331,7 +295,7 @@ impl Drop for ThreadedEndpoint {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -343,13 +307,13 @@ mod tests {
         EndpointAddr::new(i)
     }
 
-    fn run_model(model: DispatchModel) {
+    fn run_workers(workers: usize) {
         let net = LoopbackNet::new();
         let g = GroupAddr::new(1);
         let mut eps: Vec<ThreadedEndpoint> = (1..=2)
             .map(|i| {
                 let stack = StackBuilder::new(ep(i)).push(Box::new(Nop)).build().unwrap();
-                ThreadedEndpoint::spawn(stack, net.clone(), model)
+                ThreadedEndpoint::spawn(stack, net.clone(), workers)
             })
             .collect();
         for e in &eps {
@@ -373,18 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_model_delivers() {
-        run_model(DispatchModel::EventQueue);
+    fn one_worker_delivers() {
+        run_workers(1);
     }
 
     #[test]
     fn locked_threads_model_delivers() {
-        run_model(DispatchModel::LockedThreads(4));
+        run_workers(4);
     }
 
     #[test]
     fn timers_fire_under_real_time() {
-        #[derive(Debug, Default)]
+        #[derive(Debug, Default, Clone)]
         struct Tick {
             count: u64,
         }
@@ -406,7 +370,7 @@ mod tests {
         }
         let net = LoopbackNet::new();
         let stack = StackBuilder::new(ep(9)).push(Box::new(Tick::default())).build().unwrap();
-        let mut e = ThreadedEndpoint::spawn(stack, net, DispatchModel::EventQueue);
+        let mut e = ThreadedEndpoint::spawn(stack, net, 1);
         assert!(e.wait_until(Duration::from_secs(5), |e| {
             e.take_upcalls().iter().any(|u| matches!(u, Up::Exit))
         }));

@@ -197,7 +197,7 @@ fn vc_lt(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// use horus_core::prelude::*;
 /// use std::time::Duration;
 ///
-/// #[derive(Debug, Default)]
+/// #[derive(Debug, Default, Clone)]
 /// struct Nop;
 /// impl Layer for Nop { fn name(&self) -> &'static str { "NOP" } }
 ///
@@ -225,7 +225,9 @@ pub struct SimWorld {
     net: SimNetwork,
     endpoints: BTreeMap<EndpointAddr, Slot>,
     sched: Box<dyn NetScheduler + Send>,
-    traces: Vec<(SimTime, String)>,
+    /// Reusable effect buffer for every stack dispatch; empty between
+    /// dispatches.
+    sink: EffectSink,
     /// The dirty *queue*: endpoints dispatched into since the last
     /// fingerprint, each queued at most once (policed by [`Slot::dirty`]).
     /// [`SimWorld::fingerprint`] drains this instead of scanning every slot.
@@ -294,7 +296,7 @@ impl SimWorld {
             net: SimNetwork::new(config),
             endpoints: BTreeMap::new(),
             sched,
-            traces: Vec::new(),
+            sink: EffectSink::new(),
             dirty_eps: RefCell::new(Vec::new()),
             slots_sum: Cell::new(0),
             clocks: BTreeMap::new(),
@@ -406,7 +408,7 @@ impl SimWorld {
         if let Some(t) = &self.tracer {
             stack.set_tracer(t.clone());
         }
-        let effects = stack.init();
+        stack.init(&mut self.sink);
         self.endpoints.insert(
             ep,
             Slot {
@@ -421,7 +423,7 @@ impl SimWorld {
         // A new slot starts dirty (contributing nothing to the clean-slot
         // sum) and queued, so the next fingerprint digests it.
         self.dirty_eps.borrow_mut().push(ep);
-        self.apply_effects(ep, effects);
+        self.apply_effects(ep);
         ep
     }
 
@@ -604,67 +606,44 @@ impl SimWorld {
         }
     }
 
+    /// Feeds one input into a live endpoint's stack and performs the
+    /// effects.
+    fn feed(&mut self, ep: EndpointAddr, input: StackInput) {
+        let Some(slot) = self.endpoints.get_mut(&ep) else { return };
+        if !slot.alive {
+            return;
+        }
+        Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
+        slot.stack.set_now(self.time);
+        slot.stack.handle_into(input, &mut self.sink);
+        self.apply_effects(ep);
+    }
+
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::Net { to, from, cast, wire } => {
-                let Some(slot) = self.endpoints.get_mut(&to) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, to, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromNet { from, cast, wire });
-                self.apply_effects(to, fx);
+                self.feed(to, StackInput::FromNet { from, cast, wire });
             }
             Ev::Timer { ep, layer, token } => {
-                let Some(slot) = self.endpoints.get_mut(&ep) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
-                let fx = slot.stack.handle(StackInput::Timer { layer, token, now: self.time });
-                self.apply_effects(ep, fx);
+                self.feed(ep, StackInput::Timer { layer, token, now: self.time });
             }
-            Ev::App { ep, down } => {
-                let Some(slot) = self.endpoints.get_mut(&ep) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromApp(down));
-                self.apply_effects(ep, fx);
-            }
+            Ev::App { ep, down } => self.feed(ep, StackInput::FromApp(down)),
             Ev::Crash { ep } => {
                 if let Some(slot) = self.endpoints.get_mut(&ep) {
                     Self::touch(&self.dirty_eps, &self.slots_sum, ep, slot);
                     slot.alive = false;
                     self.net.leave(ep);
-                    self.traces.push((self.time, format!("{ep} crashed")));
                 }
             }
             Ev::Partition { regions } => {
                 let slices: Vec<&[EndpointAddr]> = regions.iter().map(|r| r.as_slice()).collect();
                 self.net.partition(&slices);
-                self.traces.push((self.time, format!("partition {regions:?}")));
             }
-            Ev::Heal => {
-                self.net.heal();
-                self.traces.push((self.time, "partitions healed".to_string()));
-            }
+            Ev::Heal => self.net.heal(),
             Ev::Suspect { observer, target } => {
-                let Some(slot) = self.endpoints.get_mut(&observer) else { return };
-                if !slot.alive {
-                    return;
-                }
-                Self::touch(&self.dirty_eps, &self.slots_sum, observer, slot);
-                slot.stack.set_now(self.time);
-                let fx = slot.stack.handle(StackInput::FromApp(Down::Suspect { member: target }));
-                self.apply_effects(observer, fx);
-                self.traces.push((self.time, format!("{observer} suspects {target} (scripted)")));
+                self.feed(observer, StackInput::FromApp(Down::Suspect { member: target }));
             }
             Ev::Fault { rule } => {
-                self.traces.push((self.time, format!("fault installed: {rule:?}")));
                 if let FaultRule::SuspicionStorm { ref observers, target } = rule {
                     // The network cannot evaluate a suspicion storm — it is
                     // executed here, as one scripted suspicion per observer,
@@ -687,8 +666,12 @@ impl SimWorld {
         }
     }
 
-    fn apply_effects(&mut self, ep: EndpointAddr, effects: Vec<Effect>) {
-        for fx in effects {
+    /// Performs (and drains) the effects `ep`'s stack left in the sink.
+    fn apply_effects(&mut self, ep: EndpointAddr) {
+        // Move the sink out so its drain doesn't pin `self`; it (and its
+        // capacity) goes straight back afterwards.
+        let mut sink = std::mem::take(&mut self.sink);
+        for fx in sink.drain() {
             match fx {
                 Effect::Deliver(up) => {
                     if let Some(slot) = self.endpoints.get_mut(&ep) {
@@ -728,9 +711,9 @@ impl SimWorld {
                 Effect::SetTimer { layer, token, delay } => {
                     self.schedule(self.time + delay, Ev::Timer { ep, layer, token });
                 }
-                Effect::Trace(t) => self.traces.push((self.time, format!("{ep}: {t}"))),
             }
         }
+        self.sink = sink;
     }
 
     /// Whether an endpoint is still alive (has not crashed or been
@@ -792,11 +775,6 @@ impl SimWorld {
     /// Borrow an endpoint's stack (for `focus`/`dump` inspection).
     pub fn stack(&self, ep: EndpointAddr) -> Option<&Stack> {
         self.endpoints.get(&ep).map(|s| &s.stack)
-    }
-
-    /// The world's trace log (layer traces, crash/partition markers).
-    pub fn traces(&self) -> &[(SimTime, String)] {
-        &self.traces
     }
 
     /// Pending calendar entries (diagnostics).
@@ -1000,9 +978,7 @@ impl SimWorld {
     }
 
     /// Duplicates the entire world — clock, calendar, network, endpoint
-    /// stacks, logs, pending-digest sums — if every stack layer and the net
-    /// scheduler support snapshotting (`Layer::supports_snapshot` /
-    /// `NetScheduler::clone_box`).
+    /// stacks, logs, pending-digest sums.
     ///
     /// Layer state is shared **copy-on-write** with the original
     /// ([`Stack::clone_cow`]): nothing per-layer is copied here, and a layer
@@ -1016,27 +992,25 @@ impl SimWorld {
     /// schedule against the original and the snapshot produces identical
     /// effects, upcalls, and fingerprints.  The model checker leans on this
     /// to resume exploration from a branch point instead of re-executing
-    /// the settle phase and the choice prefix; anything less than an exact
-    /// clone corrupts the search, which is why unsupported layers make this
-    /// return `None` rather than best-effort copying.
-    pub fn snapshot(&self) -> Option<SimWorld> {
+    /// the settle phase and the choice prefix.
+    pub fn snapshot(&self) -> SimWorld {
         self.snapshot_impl(true)
     }
 
     /// [`SimWorld::snapshot`] with every layer deep-cloned up front (the
     /// pre-CoW behaviour).  Kept as the honest baseline for the checker's
     /// `cow_off` benchmark arm.
-    pub fn snapshot_deep(&self) -> Option<SimWorld> {
+    pub fn snapshot_deep(&self) -> SimWorld {
         self.snapshot_impl(false)
     }
 
-    fn snapshot_impl(&self, cow: bool) -> Option<SimWorld> {
+    fn snapshot_impl(&self, cow: bool) -> SimWorld {
         let mut endpoints = BTreeMap::new();
         for (ep, slot) in &self.endpoints {
             endpoints.insert(
                 *ep,
                 Slot {
-                    stack: if cow { slot.stack.clone_cow()? } else { slot.stack.try_clone()? },
+                    stack: if cow { slot.stack.clone_cow() } else { slot.stack.deep_clone() },
                     upcalls: slot.upcalls.clone(),
                     alive: slot.alive,
                     log_digest: slot.log_digest.clone(),
@@ -1045,7 +1019,7 @@ impl SimWorld {
                 },
             );
         }
-        Some(SimWorld {
+        SimWorld {
             time: self.time,
             seq: self.seq,
             steps: self.steps,
@@ -1053,8 +1027,8 @@ impl SimWorld {
             calendar: self.calendar.clone(),
             net: self.net.clone(),
             endpoints,
-            sched: self.sched.clone_box()?,
-            traces: self.traces.clone(),
+            sched: self.sched.clone_box(),
+            sink: EffectSink::new(),
             dirty_eps: RefCell::new(self.dirty_eps.borrow().clone()),
             slots_sum: self.slots_sum.clone(),
             clocks: self.clocks.clone(),
@@ -1063,7 +1037,7 @@ impl SimWorld {
             pending_s1: self.pending_s1,
             pending_s2: self.pending_s2,
             tracer: self.tracer.clone(),
-        })
+        }
     }
 
     /// A 64-bit fingerprint of the world's explorable state: per-endpoint
@@ -1292,8 +1266,9 @@ fn msg_digest(e: &mut StateDigest, m: &Message) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use horus_trace::TraceBuf;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Default, Clone)]
     struct Nop;
     impl Layer for Nop {
         fn name(&self) -> &'static str {
@@ -1409,15 +1384,20 @@ mod tests {
 
     #[test]
     fn traces_record_world_events() {
+        let buf = Arc::new(TraceBuf::new());
         let mut w = world_of(2);
+        w.set_tracer(buf.clone());
         w.crash_at(SimTime::from_millis(1), ep(2));
         w.partition_at(SimTime::from_millis(2), &[&[ep(1)]]);
         w.heal_at(SimTime::from_millis(3));
+        let cut = FaultRule::OneWayCut { from: ep(1), to: ep(2), start: SimTime::ZERO, end: None };
+        w.fault_at(SimTime::from_millis(4), cut);
         w.run_for(Duration::from_millis(10));
-        let text: Vec<&str> = w.traces().iter().map(|(_, t)| t.as_str()).collect();
-        assert!(text.iter().any(|t| t.contains("crashed")));
-        assert!(text.iter().any(|t| t.contains("partition")));
-        assert!(text.iter().any(|t| t.contains("healed")));
+        let recs = buf.take();
+        assert!(recs.iter().any(|r| r.ep == ep(2) && matches!(r.kind, TraceKind::Crash { .. })));
+        assert!(recs.iter().any(|r| matches!(r.kind, TraceKind::Partition { .. })));
+        assert!(recs.iter().any(|r| matches!(r.kind, TraceKind::Heal { .. })));
+        assert!(recs.iter().any(|r| matches!(r.kind, TraceKind::Fault { .. })));
     }
 
     #[test]
@@ -1494,14 +1474,21 @@ mod tests {
 
     #[test]
     fn scripted_suspicion_is_dispatched_and_traced() {
+        let buf = Arc::new(TraceBuf::new());
         let mut w = world_of(2);
+        w.set_tracer(buf.clone());
         w.suspect_at(SimTime::from_millis(3), ep(1), ep(2));
         w.run_for(Duration::from_millis(10));
         // The Nop stack consumes nothing, so the downcall falls out the
         // bottom; what matters here is the scheduling and the audit trail.
-        let text: Vec<&str> = w.traces().iter().map(|(_, t)| t.as_str()).collect();
-        assert!(text.iter().any(|t| t.contains("suspects") && t.contains("scripted")));
-        assert!(text.iter().any(|t| t.contains("suspect") && t.contains("fell off")));
+        let recs = buf.take();
+        assert!(recs.iter().any(|r| {
+            r.ep == ep(1) && matches!(r.kind, TraceKind::Suspect { target, .. } if target == ep(2))
+        }));
+        assert!(recs.iter().any(|r| {
+            r.ep == ep(1)
+                && matches!(&r.kind, TraceKind::Note(t) if t.contains("suspect") && t.contains("fell off"))
+        }));
     }
 
     #[test]

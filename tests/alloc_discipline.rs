@@ -11,8 +11,6 @@
 //!   bytes;
 //! * a batch of N casts allocates exactly N × the single-cast cost — no
 //!   per-event machinery allocations appear at any batch size;
-//! * the `Vec`-returning `handle` shim costs extra allocations per call,
-//!   which is precisely what `handle_into`/`handle_batch` eliminate;
 //! * `StackStats::dispatch_buf_grows` stays at zero once warm.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test thread can
@@ -56,8 +54,9 @@ fn cast_input(stack: &Stack, k: u8) -> StackInput {
 #[test]
 fn steady_state_dispatch_does_not_allocate() {
     let mut stack = build_stack(EndpointAddr::new(1), "SEQNO:COM", StackConfig::default()).unwrap();
-    let _ = stack.init();
     let mut sink = EffectSink::with_capacity(64);
+    stack.init(&mut sink);
+    sink.clear();
 
     // Warm up: grow the sink, scratch, and emit buffers to steady state.
     for k in 0..32u8 {
@@ -108,19 +107,7 @@ fn steady_state_dispatch_does_not_allocate() {
     assert_eq!(sink.len() as u64, N, "one NetCast effect per input");
     sink.clear();
 
-    // 4. The Vec-returning shim pays per call what the sink path saves.
-    let input = cast_input(&stack, 41);
-    let before = allocs();
-    let fx = stack.handle(input);
-    let shim_allocs = allocs() - before;
-    drop(fx);
-    assert!(
-        shim_allocs > per_cast,
-        "handle() shim (fresh Vec per call, {shim_allocs} allocs) should cost more than \
-         sink dispatch ({per_cast} allocs)"
-    );
-
-    // 5. The stack's own buffers reached steady state long ago.
+    // 4. The stack's own buffers reached steady state long ago.
     let grows_at_warm = stack.stats().dispatch_buf_grows;
     for k in 0..64u8 {
         stack.handle_into(cast_input(&stack, k), &mut sink);

@@ -1,8 +1,8 @@
 //! Batched dispatch is an optimization, not a semantics change: for every
 //! registered layer, feeding an input sequence through
 //! [`Stack::handle_batch`] over *any* partition must produce effects
-//! byte-identical to feeding the same sequence through `handle` one input
-//! at a time.
+//! byte-identical to feeding the same sequence through `handle_into` one
+//! input at a time, into a fresh sink each.
 //!
 //! The input sequences mix app casts, real wire frames (stamped by a twin
 //! sender stack), and timer expiries harvested from the stack's own
@@ -10,7 +10,10 @@
 //! are crossed.  `Effect` has no `PartialEq`; equality is judged on the
 //! `Debug` rendering of the full effect sequence, which covers every field.
 
+mod common;
+
 use bytes::Bytes;
+use common::handle;
 use horus::layers::registry::{build_stack, layer_names};
 use horus::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +27,7 @@ fn rx_stack(name: &str, seed: u64) -> Stack {
     let cfg = StackConfig { seed: Some(seed), ..StackConfig::default() };
     let mut s = build_stack(EndpointAddr::new(2), name, cfg)
         .unwrap_or_else(|e| panic!("{name}: stack builds: {e}"));
-    let _ = s.init();
+    s.init(&mut EffectSink::new());
     s
 }
 
@@ -36,7 +39,7 @@ fn input_sequence(name: &str, seed: u64) -> Vec<StackInput> {
     let mut tx = {
         let cfg = StackConfig { seed: Some(seed), ..StackConfig::default() };
         let mut s = build_stack(EndpointAddr::new(1), name, cfg).unwrap();
-        let _ = s.init();
+        s.init(&mut EffectSink::new());
         s
     };
     let mut pending_timers: VecDeque<(usize, u64)> = VecDeque::new();
@@ -55,7 +58,7 @@ fn input_sequence(name: &str, seed: u64) -> Vec<StackInput> {
                 let body: Vec<u8> =
                     (0..rng.gen_range(0usize..48)).map(|_| rng.gen_range(0u8..=255)).collect();
                 let msg = tx.new_message(Bytes::from(body));
-                let fx = tx.handle(StackInput::FromApp(Down::Cast(msg)));
+                let fx = handle(&mut tx, StackInput::FromApp(Down::Cast(msg)));
                 let wire = fx.iter().find_map(|e| match e {
                     Effect::NetCast { wire } => Some(wire.clone()),
                     Effect::NetSend { wire, .. } => Some(wire.clone()),
@@ -80,7 +83,7 @@ fn input_sequence(name: &str, seed: u64) -> Vec<StackInput> {
                 StackInput::FromApp(Down::Cast(msg))
             }
         };
-        let fx = driver.handle(input.clone());
+        let fx = handle(&mut driver, input.clone());
         for e in &fx {
             if let Effect::SetTimer { layer, token, .. } = e {
                 pending_timers.push_back((*layer, *token));
@@ -109,11 +112,11 @@ fn handle_batch_matches_one_at_a_time_for_every_layer() {
         for seed in SEEDS {
             let inputs = input_sequence(name, seed);
 
-            // Reference: one input at a time through the Vec shim.
+            // Reference: one input at a time, a fresh sink each.
             let mut one = rx_stack(name, seed);
             let mut fx_one: Vec<Effect> = Vec::new();
             for input in &inputs {
-                fx_one.extend(one.handle(input.clone()));
+                fx_one.extend(handle(&mut one, input.clone()));
             }
 
             // Candidate: the same inputs, batched over a random partition.
@@ -154,7 +157,7 @@ fn handle_batch_matches_one_at_a_time_for_every_layer() {
 }
 
 /// The degenerate partitions: everything in one batch, and every batch a
-/// singleton, both equal the shim.
+/// singleton, both equal the one-at-a-time reference.
 #[test]
 fn extreme_partitions_agree() {
     for name in ["NAK", "FRAG:NAK:COM", "TOTAL:MBRSHIP:NAK:FLOW:COM"] {
@@ -162,7 +165,7 @@ fn extreme_partitions_agree() {
         let mut one = rx_stack(name, 42);
         let mut fx_one: Vec<Effect> = Vec::new();
         for input in &inputs {
-            fx_one.extend(one.handle(input.clone()));
+            fx_one.extend(handle(&mut one, input.clone()));
         }
 
         let mut whole = rx_stack(name, 42);

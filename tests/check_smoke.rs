@@ -30,6 +30,8 @@
 //! release mode.  Run with
 //! `cargo test --release --test check_smoke -- --ignored`.
 
+mod common;
+
 use horus_check::{explore, explore_parallel, CheckConfig, CheckReport, Scenario};
 use horus_core::stack::{layer_clones, reset_layer_clones};
 use std::time::{Duration, Instant};
@@ -228,7 +230,6 @@ fn check_explorer_smoke() {
         speedup,
         hardware_threads,
     );
-    let path = format!("{}/BENCH_check.json", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(&path, &json).expect("write BENCH_check.json");
-    println!("wrote {path}:\n{json}");
+    common::write_bench("BENCH_check.json", &json);
+    println!("{json}");
 }

@@ -16,6 +16,14 @@ pub fn group() -> GroupAddr {
     GroupAddr::new(1)
 }
 
+/// Feeds one input through `stack`, returning its effects (a fresh sink
+/// per call).
+pub fn handle(stack: &mut Stack, input: StackInput) -> Vec<Effect> {
+    let mut sink = EffectSink::new();
+    stack.handle_into(input, &mut sink);
+    sink.into_effects()
+}
+
 /// Builds a world of `n` members all running `stack_desc`, merges them
 /// toward ep(1), and runs until the full view forms.
 ///
@@ -39,6 +47,19 @@ pub fn joined_world(n: u64, seed: u64, net: NetConfig, stack_desc: &str) -> SimW
         assert_eq!(last.len(), n as usize, "ep{i} must see the full {n}-member view");
     }
     w
+}
+
+/// Writes a smoke test's `BENCH_*.json` into the package root named by
+/// `CARGO_MANIFEST_DIR` at run time (cargo sets it for test processes), so
+/// a test binary copied out of this tree never writes back into it.
+pub fn write_bench(name: &str, json: &str) {
+    match std::env::var_os("CARGO_MANIFEST_DIR") {
+        Some(dir) => {
+            let path = std::path::Path::new(&dir).join(name);
+            std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        }
+        None => eprintln!("CARGO_MANIFEST_DIR is unset: {name} not written"),
+    }
 }
 
 /// Delivery logs of all still-alive members.

@@ -19,11 +19,13 @@
 //! release mode.  Run with
 //! `cargo test --release --test dispatch_smoke -- --ignored`.
 
+mod common;
+
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
+use horus_sim::threaded::ThreadedEndpoint;
 use std::time::{Duration, Instant};
 
 fn ep(i: u64) -> EndpointAddr {
@@ -40,14 +42,14 @@ fn hw_shards() -> usize {
 }
 
 /// Floods a 2-member `NAK:COM` group through the per-event event-queue
-/// executor; returns msgs/sec (cast burst → last delivery).
+/// executor (a one-worker `ThreadedEndpoint`); returns msgs/sec (cast burst → last delivery).
 fn flood_event_queue() -> f64 {
     let net = LoopbackNet::new();
     let g = GroupAddr::new(1);
     let mut endpoints: Vec<ThreadedEndpoint> = (1..=2)
         .map(|i| {
             let s = build_stack(ep(i), "NAK:COM", StackConfig::default()).unwrap();
-            ThreadedEndpoint::spawn(s, net.clone(), DispatchModel::EventQueue)
+            ThreadedEndpoint::spawn(s, net.clone(), 1)
         })
         .collect();
     for e in &endpoints {
@@ -171,8 +173,7 @@ fn dispatch_smoke() {
         shards_4,
         scaling,
     );
-    std::fs::write(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_dispatch.json"), &json)
-        .expect("write BENCH_dispatch.json");
+    common::write_bench("BENCH_dispatch.json", &json);
     eprintln!("{json}");
 
     assert!(

@@ -10,8 +10,10 @@ use common::*;
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus::sim::SimWorld;
+use horus::trace::TraceBuf;
 use horus_net::NetConfig;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Collects the distinct upcall kinds an endpoint has seen.
@@ -116,8 +118,14 @@ fn every_downcall_is_issuable_and_upcalls_flow() {
     // MBRSHIP's own agreement).
     let mut bare = build_stack(ep(9), "NAK:COM", StackConfig::default()).unwrap();
     let v = horus_core::View::initial(group(), ep(9));
-    let fx = bare.handle(StackInput::FromApp(Down::InstallView(v)));
+    let notes = Arc::new(TraceBuf::new());
+    bare.set_tracer(notes.clone());
+    let fx = handle(&mut bare, StackInput::FromApp(Down::InstallView(v)));
     assert!(fx.is_empty(), "view downcall consumed by COM");
+    assert!(
+        !notes.take().iter().any(|r| matches!(r.kind, TraceKind::Note(_))),
+        "view downcall consumed by COM, not fallen off the bottom"
+    );
 
     // Table 1 `dump` + `focus`.
     w.down(ep(1), Down::Dump);

@@ -5,9 +5,13 @@
 //! crash.  This is the §2 claim that layers tolerate whatever the network
 //! hands them, tested at the trust boundary.
 
+mod common;
+
 use bytes::Bytes;
+use common::handle;
 use horus::layers::registry::{build_stack, layer_names};
 use horus::prelude::*;
+use horus_core::frame::ENVELOPE_BYTES;
 use horus_core::wire::WireReader;
 use horus_core::WireFrame;
 use proptest::prelude::*;
@@ -38,7 +42,7 @@ fn chew(buf: &[u8]) {
 fn receiver(name: &str) -> Stack {
     let mut s = build_stack(EndpointAddr::new(2), name, StackConfig::default())
         .unwrap_or_else(|e| panic!("{name}: single-layer stack builds: {e}"));
-    let _ = s.init();
+    s.init(&mut EffectSink::new());
     s
 }
 
@@ -60,7 +64,7 @@ proptest! {
     ) {
         for name in layer_names() {
             let mut s = receiver(name);
-            let _ = s.handle(StackInput::FromNet {
+            let _ = handle(&mut s, StackInput::FromNet {
                 from: EndpointAddr::new(1),
                 cast,
                 wire: WireFrame::raw(Bytes::from(bytes.clone())),
@@ -81,9 +85,9 @@ proptest! {
         for name in layer_names() {
             // Sender-side twin stamps a real frame for this layer.
             let mut tx = build_stack(EndpointAddr::new(1), name, StackConfig::default()).unwrap();
-            let _ = tx.init();
+            tx.init(&mut EffectSink::new());
             let msg = tx.new_message(Bytes::from(body.clone()));
-            let fx = tx.handle(StackInput::FromApp(Down::Cast(msg)));
+            let fx = handle(&mut tx, StackInput::FromApp(Down::Cast(msg)));
             let Some(wire) = fx.iter().find_map(|e| match e {
                 Effect::NetCast { wire } => Some(wire.clone()),
                 Effect::NetSend { wire, .. } => Some(wire.clone()),
@@ -101,11 +105,47 @@ proptest! {
             }
             bytes.truncate(cut as usize % (bytes.len() + 1));
             let mut rx = receiver(name);
-            let _ = rx.handle(StackInput::FromNet {
+            let _ = handle(&mut rx, StackInput::FromNet {
                 from: EndpointAddr::new(1),
                 cast,
                 wire: WireFrame::raw(Bytes::from(bytes)),
             });
         }
     }
+}
+
+/// CAST deliveries and PACK's rejected count after `rx` receives `wire`.
+fn pack_receive(rx: &mut Stack, wire: WireFrame) -> (usize, u64) {
+    let fx = handle(rx, StackInput::FromNet { from: EndpointAddr::new(1), cast: true, wire });
+    let delivered = fx.iter().filter(|e| matches!(e, Effect::Deliver(Up::Cast { .. }))).count();
+    let pack = rx.layer_names().iter().position(|n| *n == "PACK").unwrap();
+    (delivered, rx.stats().per_layer[pack].rejected)
+}
+
+/// A PACK carrier cut inside its first length prefix, re-framed so it
+/// passes the frame checksum: the frame decoder cannot see the damage, so
+/// PACK itself must drop it — counted once in its `rejected`, nothing
+/// delivered.
+#[test]
+fn truncated_pack_carrier_is_rejected_and_counted() {
+    let desc = "PACK(msgs=2):COM";
+    let mut tx = build_stack(EndpointAddr::new(1), desc, StackConfig::default()).unwrap();
+    tx.init(&mut EffectSink::new());
+    let mut carrier = None;
+    for body in [&b"one"[..], b"two"] {
+        let msg = tx.new_message(body);
+        for e in handle(&mut tx, StackInput::FromApp(Down::Cast(msg))) {
+            if let Effect::NetCast { wire } = e {
+                carrier = Some(wire);
+            }
+        }
+    }
+    let carrier = carrier.expect("the second cast flushes a two-message carrier");
+    assert_eq!(pack_receive(&mut receiver(desc), carrier.clone()), (2, 0), "intact carrier");
+
+    let hdr = &carrier.head()[ENVELOPE_BYTES..];
+    let cut = WireFrame::build(tx.fingerprint(), hdr, carrier.body().slice(..3));
+    let mut rx = receiver(desc);
+    assert_eq!(pack_receive(&mut rx, cut), (0, 1), "truncated carrier");
+    assert_eq!(rx.stats().decode_drops, 0, "the frame itself decodes");
 }

@@ -34,7 +34,7 @@ use horus_check::{
 use horus_core::trace::TraceSink;
 use horus_net::LoopbackNet;
 use horus_sim::shard::{ShardConfig, ShardExecutor};
-use horus_sim::threaded::{DispatchModel, ThreadedEndpoint};
+use horus_sim::threaded::ThreadedEndpoint;
 use horus_trace::{
     delivery_projection, kind_counts, latency_stats, parse_trace, parse_trace_v2, serialize_trace,
     trace_to_v2, LatencyStats, MetricsSink, TraceBuf, TraceRing,
@@ -92,7 +92,7 @@ fn threaded_projection(casts: usize) -> std::collections::BTreeMap<(u64, u64), V
             let mut s =
                 build_stack(ep(i), "COM(promiscuous=true)", StackConfig::default()).unwrap();
             s.set_tracer(ring.clone());
-            ThreadedEndpoint::spawn(s, net.clone(), DispatchModel::EventQueue)
+            ThreadedEndpoint::spawn(s, net.clone(), 1)
         })
         .collect();
     for e in &endpoints {

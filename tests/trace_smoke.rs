@@ -28,6 +28,8 @@
 //! release mode.  Run with
 //! `cargo test --release --test trace_smoke -- --ignored`.
 
+mod common;
+
 use horus::layers::registry::build_stack;
 use horus::prelude::*;
 use horus_core::trace::{NullSink, SamplingSink, TraceSink};
@@ -178,7 +180,7 @@ fn trace_smoke() {
         v2_bpr,
         v2_size_ratio,
     );
-    std::fs::write(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_trace.json"), &json).unwrap();
+    common::write_bench("BENCH_trace.json", &json);
     println!("{json}");
 
     assert!(
