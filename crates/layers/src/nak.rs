@@ -243,8 +243,7 @@ impl Nak {
         ctx.set(&mut msg, 1, seq as u64);
         self.sendbuf.insert(seq, msg.clone());
         while self.sendbuf.len() > self.cfg.buffer_cap {
-            let (&oldest, _) = self.sendbuf.iter().next().expect("non-empty");
-            self.sendbuf.remove(&oldest);
+            self.sendbuf.pop_first();
         }
         ctx.down(Down::Cast(msg));
     }
@@ -386,8 +385,13 @@ impl Nak {
         // could still be missing everything, so only the capacity cap
         // bounds the buffer.
         if self.dests.is_some() {
+            // Split at the first unacknowledged sequence: cost follows
+            // what is dropped, not the buffer's length.
             let min = self.min_ack();
-            self.sendbuf.retain(|&s, _| s > min);
+            match min.checked_add(1) {
+                Some(keep) => self.sendbuf = self.sendbuf.split_off(&keep),
+                None => self.sendbuf.clear(),
+            }
         }
         // Window may have opened.
         self.pump_pending(ctx);

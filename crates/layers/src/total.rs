@@ -62,11 +62,14 @@ pub struct Total {
     assigned: BTreeMap<(EndpointAddr, u32), u64>,
     /// Next global sequence number to deliver.
     gnext: u64,
-    /// Disjoint [base, end) ranges of global sequence numbers covered by
-    /// applied ORDER messages.
+    /// The coverage frontier: every global sequence in `[1, front)` has
+    /// been assigned by an applied (or self-issued) ORDER.
+    front: u64,
+    /// `[base, end)` ranges covered by applied ORDERs that start above
+    /// `front` (ORDERs applied out of order); empty in the common case.
     covered: BTreeMap<u64, u64>,
     /// If the token was granted to us: the base our first assignment must
-    /// start at.  We may only issue once `frontier() == grant` — i.e. we
+    /// start at.  We may only issue once `front == grant` — i.e. we
     /// have applied every ORDER before our grant — otherwise we could
     /// re-assign keys ordered by a message still in flight (ORDERs from
     /// different senders are only FIFO per sender).
@@ -105,6 +108,7 @@ impl Total {
             ordered: BTreeMap::new(),
             assigned: BTreeMap::new(),
             gnext: 1,
+            front: 1,
             covered: BTreeMap::new(),
             grant: None,
             holder: None,
@@ -118,23 +122,18 @@ impl Total {
         }
     }
 
-    /// The contiguous coverage frontier: every global sequence in
-    /// `[1, frontier)` has been assigned by an applied (or self-issued)
-    /// ORDER.
-    fn frontier(&self) -> u64 {
-        let mut f = 1;
-        for (&base, &end) in &self.covered {
-            if base > f {
-                break;
-            }
-            f = f.max(end);
-        }
-        f
-    }
-
+    /// Records `[base, base + len)` as covered, then folds every range
+    /// that now touches the frontier into it, so the cost per ORDER does
+    /// not grow with the view's history.
     fn add_coverage(&mut self, base: u64, len: u64) {
         let e = self.covered.entry(base).or_insert(base);
         *e = (*e).max(base + len);
+        while let Some(entry) = self.covered.first_entry() {
+            if *entry.key() > self.front {
+                break;
+            }
+            self.front = self.front.max(entry.remove());
+        }
     }
 
     /// The oracle (§7): pick the next holder after a batch — the sender of
@@ -152,7 +151,7 @@ impl Total {
             return; // the view change will rebuild the token deterministically
         }
         let Some(g_base) = self.grant else { return };
-        if self.frontier() != g_base {
+        if self.front != g_base {
             return; // not caught up with the order chain yet
         }
         let batch: Vec<(EndpointAddr, u32)> =
@@ -266,6 +265,7 @@ impl Total {
         self.assigned.clear();
         self.my_tseq = 0;
         self.gnext = 1;
+        self.front = 1;
         self.covered.clear();
         self.holder_gen = 0;
         self.holder = view.members().first().copied();
@@ -348,7 +348,7 @@ impl Layer for Total {
             self.holder,
             self.grant,
             self.gnext,
-            self.frontier(),
+            self.front,
             self.delivered,
             self.unordered.len(),
             self.ordered.len(),
@@ -380,6 +380,9 @@ mod tests {
     use crate::nak::{Nak, NakConfig};
     use horus_net::NetConfig;
     use horus_sim::{check_total_order, check_virtual_synchrony, DeliveryLog, SimWorld, Workload};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
     use std::time::Duration;
 
     fn ep(i: u64) -> EndpointAddr {
@@ -526,5 +529,81 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
+    }
+
+    /// The frontier as a walk over every range ever applied: the
+    /// definition the incremental `front` must match.
+    fn walk_frontier(covered: &BTreeMap<u64, u64>) -> u64 {
+        let mut f = 1;
+        for (&base, &end) in covered {
+            if base > f {
+                break;
+            }
+            f = f.max(end);
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// A contiguous run of ORDER ranges plus a few stray ones, each
+        /// applied at least once, with duplicates (loopback
+        /// re-application), all in a random order.
+        #[test]
+        fn incremental_frontier_matches_range_walk(
+            lens in vec(1u64..6, 1..24),
+            strays in vec((1u64..80, 0u64..6), 0..8),
+            dups in vec(any::<Index>(), 0..8),
+            swaps in vec(any::<Index>(), 40),
+        ) {
+            let mut base = 1;
+            let mut apps: Vec<(u64, u64)> = Vec::new();
+            for len in lens {
+                apps.push((base, len));
+                base += len;
+            }
+            apps.extend(strays);
+            let dup_ranges: Vec<_> = dups.iter().map(|d| *d.get(&apps)).collect();
+            apps.extend(dup_ranges);
+            // Fisher-Yates, one draw per position (`apps` holds at most 37).
+            for i in (1..apps.len()).rev() {
+                apps.swap(i, swaps[i].index(i + 1));
+            }
+            let mut total = Total::new();
+            let mut all = BTreeMap::new();
+            for (base, len) in apps {
+                total.add_coverage(base, len);
+                let e = all.entry(base).or_insert(base);
+                *e = (*e).max(base + len);
+                prop_assert_eq!(total.front, walk_frontier(&all));
+                prop_assert!(total.covered.keys().all(|&b| b > total.front));
+            }
+        }
+    }
+
+    #[test]
+    fn coverage_stays_short_over_a_long_view() {
+        const CASTS: u64 = 5_000;
+        let mut w = joined_world(3, 7, NetConfig::reliable());
+        let views_before: Vec<usize> = (1..=3).map(|i| w.installed_views(ep(i)).len()).collect();
+        let t = w.now();
+        for k in 1..=CASTS {
+            w.cast_bytes_at(
+                t + Duration::from_micros(100 * k),
+                ep(2),
+                Workload::body(ep(2), k, 24),
+            );
+        }
+        w.run_for(Duration::from_secs(3));
+        let expected: Vec<_> = (1..=CASTS).map(|k| (ep(2), Workload::body(ep(2), k, 24))).collect();
+        for i in 1..=3 {
+            assert_eq!(w.installed_views(ep(i)).len(), views_before[i as usize - 1], "one view");
+            let got: Vec<_> =
+                w.delivered_casts(ep(i)).into_iter().map(|(s, b, _)| (s, b)).collect();
+            assert!(got == expected, "endpoint {i} delivered every cast in order");
+        }
+        let total: &Total = w.stack(ep(2)).unwrap().focus_as("TOTAL").unwrap();
+        assert!(total.covered.len() <= 1, "covered holds {} ranges", total.covered.len());
     }
 }
