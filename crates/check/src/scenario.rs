@@ -214,6 +214,21 @@ fn script_token3(w: &mut SimWorld, base: SimTime) {
     w.cast_bytes_at(base + Duration::from_millis(2), ep(3), &b"3:1"[..]);
 }
 
+fn script_tokenself(w: &mut SimWorld, base: SimTime) {
+    // The token holder casts: ep1, the initial holder, orders its own casts
+    // in their DATA header, while ep2's concurrent cast needs an ORDER that
+    // hands ep2 the token.  ep1's second cast then goes out either
+    // self-ordered (it still holds the token) or as plain DATA for ep2 to
+    // order, depending on the interleaving.  The casts sit at the settle
+    // point, inside the first exploration window, so even a shallow crash
+    // budget can fail-stop either member with a self-ordered cast or the
+    // handover ORDER in flight; the survivors must agree on views and on
+    // one delivery order that keeps each sender's sending order.
+    w.cast_bytes_at(base, ep(1), &b"1:1"[..]);
+    w.cast_bytes_at(base, ep(2), &b"2:1"[..]);
+    w.cast_bytes_at(base + Duration::from_micros(140), ep(1), &b"1:2"[..]);
+}
+
 fn script_mergerace(w: &mut SimWorld, base: SimTime) {
     // The MERGE discovery race: two members of an established trio issue
     // *crossed* merge requests at the same instant — b nominates c as its
@@ -334,6 +349,16 @@ static SCENARIOS: &[Scenario] = &[
         script: script_token3,
         horizon: Duration::from_millis(2500),
         oracles: &[Oracle::VirtualSynchrony, Oracle::TotalOrder],
+    },
+    Scenario {
+        name: "tokenself",
+        summary: "the TOTAL holder orders its own casts: crash budget races a token handover",
+        stack: CANONICAL,
+        members: 3,
+        settle: Duration::from_millis(400),
+        script: script_tokenself,
+        horizon: Duration::from_millis(2500),
+        oracles: &[Oracle::VirtualSynchrony, Oracle::TotalOrder, Oracle::Fifo],
     },
     Scenario {
         name: "wedge",

@@ -26,7 +26,8 @@ use std::time::Duration;
 
 /// Exploration bounds per scenario: `(depth, drops, crashes, suspects)`.
 /// The fault budgets mirror how each scenario is meant to be explored
-/// (token3's crash budget, token4's double budget, wedge's suspicion).
+/// (token3's and tokenself's crash budget, token4's double budget, wedge's
+/// suspicion).
 fn bounds(name: &str) -> (usize, u32, u32, u32) {
     match name {
         "flush3" => (5, 1, 0, 0),
@@ -35,6 +36,7 @@ fn bounds(name: &str) -> (usize, u32, u32, u32) {
         "fifo2" => (3, 1, 0, 0),
         "token3" => (3, 0, 1, 0),
         "token4" => (2, 0, 2, 0),
+        "tokenself" => (3, 0, 1, 0),
         "wedge" => (3, 0, 0, 1),
         "mergerace" => (4, 0, 0, 0),
         other => panic!("no differential bounds for scenario {other}"),
@@ -160,6 +162,11 @@ fn dpor_differential_token3() {
 #[test]
 fn dpor_differential_token4() {
     diff_one("token4");
+}
+
+#[test]
+fn dpor_differential_tokenself() {
+    diff_one("tokenself");
 }
 
 #[test]

@@ -119,3 +119,22 @@ fn unordered_counterexample_needs_no_choices() {
     assert!(schedule.verdict.starts_with("violation total-order:"));
     assert_eq!(replay(&schedule), schedule.verdict);
 }
+
+#[test]
+fn tokenself_holder_crash_stays_clean() {
+    // The TOTAL holder ep:1 casts first, so its cast goes out self-ordered
+    // (the sequence number rides in its DATA header); ep:2's concurrent
+    // cast reaches ep:1, which hands ep:2 the token in an ORDER; the fourth
+    // choice fail-stops ep:1 with its self-ordered cast and that ORDER both
+    // in flight.  The survivors deliver ep:1's cast by the sequence it
+    // carried and ep:2's by the ORDER, in one order, before the new view.
+    let schedule = fixture("tokenself_clean.check");
+    assert_eq!(schedule.verdict, "clean");
+    let scenario = Scenario::by_name("tokenself").unwrap();
+    let rec = replay_choices(scenario, &schedule.choices, &schedule.to_config());
+    assert_eq!(verdict_line(&rec), "clean");
+    // Pin the option layout the crash choice depends on: after the handover
+    // ORDER is sent, 17 events are ready and the crash block starts with ep:1.
+    assert_eq!(rec.branch_options.get(3), Some(&20), "fourth branch point option count moved");
+    assert_eq!(rec.taken.get(3), Some(&17), "fixture choice must land on the crash of ep:1");
+}
